@@ -153,10 +153,25 @@ done
 cmp build/chaos_shrink_a.txt build/chaos_shrink_b.txt
 grep -q '^repro: uvmchaos/v1|' build/chaos_shrink_a.txt
 
+# Golden byte-identity: the double-run compares above only catch
+# nondeterminism, so a change that shifts every run the same way would pass
+# them. Pin the stdout itself — the eight paper benches plain, under the
+# pressure plan and under the soak plan, bench_fleet at 1 and 4 CPUs plain
+# and under pressure, the five chaos cells, a recorded repro replay and the
+# shrink demo — against the committed hashes. A change that sets out to move
+# the cost model regenerates scripts/golden_stdout.sha256 with the same
+# command and says so in CHANGES.md.
+python3 scripts/golden_stdout.py --bindir build/bench > build/golden_stdout.txt
+if ! cmp scripts/golden_stdout.sha256 build/golden_stdout.txt; then
+  diff scripts/golden_stdout.sha256 build/golden_stdout.txt >&2 || true
+  echo "ci.sh: bench stdout differs from scripts/golden_stdout.sha256" >&2
+  exit 1
+fi
+
 # Malformed plan flags must be rejected at parse time with exit 2 and a
 # parser message — never half-armed or silently ignored.
 for bad in "--pressure=@1ms warp" "--memfault=@1ms poison wat" \
-    "--chaos=wat=3" "--sched=warp9"; do
+    "--chaos=wat=3" "--sched=warp9" "--pressure=@18446744073709551617 phys-=4"; do
   rc=0
   ./build/bench/bench_fleet "$bad" > /dev/null 2> build/chaos_cli_err.txt || rc=$?
   if [ "$rc" != 2 ]; then

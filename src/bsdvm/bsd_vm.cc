@@ -67,6 +67,7 @@ BsdVm::BsdVm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu,
       vnodes_(vnodes),
       swap_(swap),
       config_(config),
+      pagedaemon_(pm, *this, "bsd_pagedaemon", config.tuning.max_alloc_retries),
       object_chain_lock_(machine, "bsd.object", sim::LockRank::kObject,
                          /*acquire_ns=*/nullptr,
                          sim::SimLock::Attribution::kContext),
@@ -225,15 +226,8 @@ void BsdVm::TerminateObject(VmObject* obj) {
       // A poisoned page's bytes are garbage; dropping the write keeps the
       // coherent pre-write copy on disk.
       if (page->dirty && !page->poisoned) {
-        int err = obj->pager->PutPage(pm_, page, pgi);
-        if (err == sim::kErrIO) {
-          sim::RetryWithBackoff(
-              machine_,
-              {config_.tuning.max_pageout_retries, machine_.cost().io_retry_backoff_ns,
-               &machine_.stats().pageout_retries},
-              [&] { return (err = obj->pager->PutPage(pm_, page, pgi)) != sim::kErrIO; },
-              [](int) {});
-        }
+        int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+                                      [&] { return obj->pager->PutPage(pm_, page, pgi); });
         if (err == sim::kErrIO) {
           ++machine_.stats().pageout_drops;
           if (machine_.tracer().enabled()) {
@@ -259,32 +253,11 @@ void BsdVm::TerminateObject(VmObject* obj) {
 
 phys::Page* BsdVm::AllocPageInObject(VmObject* obj, std::uint64_t pgindex, bool zero) {
   SIM_ASSERT(!obj->pages.contains(pgindex));
-  phys::Page* p = AllocPageReclaim(phys::OwnerKind::kBsdObject, obj, pgindex, zero);
+  phys::Page* p = pagedaemon_.AllocPage(phys::OwnerKind::kBsdObject, obj, pgindex, zero);
   if (p == nullptr) {
     return nullptr;
   }
   obj->pages.emplace(pgindex, p);
-  return p;
-}
-
-phys::Page* BsdVm::AllocPageReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
-                                    bool zero) {
-  phys::Page* p = pm_.AllocPage(kind, owner, offset, zero);
-  if (p == nullptr) {
-    PageDaemon(pm_.free_target());
-    p = pm_.AllocPage(kind, owner, offset, zero);
-  }
-  if (p == nullptr) {
-    // Under sustained pressure one daemon pass may not recover enough: back
-    // off in virtual time and retry, bounded so true exhaustion still
-    // surfaces as a clean failure instead of a hang.
-    sim::RetryWithBackoff(
-        machine_,
-        {config_.tuning.max_alloc_retries, machine_.cost().mem_retry_backoff_ns,
-         &machine_.stats().alloc_retries},
-        [&] { return (p = pm_.AllocPage(kind, owner, offset, zero)) != nullptr; },
-        [&](int) { PageDaemon(pm_.free_target()); });
-  }
   return p;
 }
 
@@ -957,7 +930,7 @@ int BsdVm::AllocProcResources(kern::ProcKernelResources* out) {
     kmap.Unlock();
     out->kernel_ranges.emplace_back(va, npages * sim::kPageSize);
     for (std::size_t i = 0; i < npages; ++i) {
-      phys::Page* p = AllocPageReclaim(phys::OwnerKind::kKernel, this, 0, /*zero=*/true);
+      phys::Page* p = pagedaemon_.AllocPage(phys::OwnerKind::kKernel, this, 0, /*zero=*/true);
       if (p == nullptr) {
         return sim::kErrNoMem;
       }
@@ -1268,91 +1241,53 @@ int BsdVm::FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access) {
 // ---------------------------------------------------------------------------
 // Pageout: one page per I/O operation (§6).
 
-std::size_t BsdVm::PageDaemon(std::size_t target_free) {
-  sim::ChargeScope scope(machine_, sim::CostCat::kPageout, "bsd_pagedaemon");
-  // Pageout-path allocations may dip into the emergency reserve: the daemon
-  // must make progress even at the min watermark (DESIGN.md §12).
-  phys::PageoutScope pressure_scope(pm_);
-  std::size_t freed = 0;
-  std::size_t guard = pm_.total_pages() * 4 + 64;
-  while (pm_.free_pages() < target_free && guard-- > 0) {
-    if (pm_.inactive_queue().empty()) {
-      // Refill the inactive queue from the head of the active queue.
-      std::size_t want = (target_free - pm_.free_pages()) * 2 + 4;
-      while (want-- > 0 && !pm_.active_queue().empty()) {
-        phys::Page* ap = pm_.active_queue().head();
-        ap->referenced = false;
-        pm_.Deactivate(ap);
-      }
-      if (pm_.inactive_queue().empty()) {
-        break;  // nothing reclaimable
-      }
-    }
-    phys::Page* p = pm_.inactive_queue().head();
-    if (p->poisoned) {
-      // Poisoned frames never reach the free list via the normal path:
-      // retire clean object pages now (backing store or zero fill refetches
-      // transparently) and park everything else off-queue — dirty ones are
-      // kill-traps for the fault path, and teardown retires them. Retired
-      // frames do not count toward `freed`.
-      machine_.Charge(sim::CostCat::kPoison, machine_.cost().poison_contain_ns);
-      if (p->owner_kind == phys::OwnerKind::kBsdObject && !p->dirty && p->wire_count == 0 &&
-          p->loan_count == 0 && !p->busy) {
-        ++machine_.stats().poison_discards;
-        FreeObjectPage(p);
-      } else {
-        pm_.Dequeue(p);
-      }
-      continue;
-    }
-    if (p->referenced) {
-      p->referenced = false;
-      pm_.Activate(p);
-      continue;
-    }
-    if (p->wire_count > 0 || p->busy || p->loan_count > 0 ||
-        p->owner_kind != phys::OwnerKind::kBsdObject) {
-      pm_.Dequeue(p);
-      continue;
-    }
-    auto* obj = static_cast<VmObject*>(p->owner);
-    mmu_.PageProtect(p, sim::Prot::kNone);
-    if (p->dirty) {
-      if (obj->pager == nullptr) {
-        SIM_ASSERT(obj->internal_);
-        machine_.Charge(sim::CostCat::kAlloc, machine_.cost().pager_alloc_ns);
-        obj->pager = NewSwapPager();
-      }
-      int perr = obj->pager->PutPage(pm_, p, p->offset);
-      // Transient device errors get a bounded retry with doubling
-      // virtual-time backoff; the page stays dirty throughout, so giving
-      // up loses nothing.
-      if (perr == sim::kErrIO) {
-        sim::RetryWithBackoff(
-            machine_,
-            {config_.tuning.max_pageout_retries, machine_.cost().io_retry_backoff_ns,
-             &machine_.stats().pageout_retries},
-            [&] { return (perr = obj->pager->PutPage(pm_, p, p->offset)) != sim::kErrIO; },
-            [](int) {});
-      }
-      if (perr != sim::kOk) {
-        pm_.Activate(p);  // swap full or I/O error; keep the page
-        continue;
-      }
-      // First pageout to swap is one of BSD VM's collapse triggers (§5.1).
-      TryCollapse(obj);
-      // The collapse may have freed or moved `p`; re-check before freeing.
-      if (p->owner_kind != phys::OwnerKind::kBsdObject || p->queue == phys::PageQueue::kFree) {
-        ++freed;
-        continue;
-      }
-      obj = static_cast<VmObject*>(p->owner);
-    }
-    obj->pages.erase(p->offset);
-    pm_.FreePage(p);
-    ++freed;
+std::size_t BsdVm::PageDaemon(std::size_t target_free) { return pagedaemon_.Run(target_free); }
+
+void BsdVm::ContainPoisoned(phys::Page* p) {
+  // Retire clean object pages now (backing store or zero fill refetches
+  // transparently) and park everything else off-queue — dirty ones are
+  // kill-traps for the fault path, and teardown retires them. Retired
+  // frames do not count as freed.
+  if (p->owner_kind == phys::OwnerKind::kBsdObject && !p->dirty && p->wire_count == 0 &&
+      p->loan_count == 0 && !p->busy) {
+    ++machine_.stats().poison_discards;
+    FreeObjectPage(p);
+  } else {
+    pm_.Dequeue(p);
   }
-  return freed;
+}
+
+std::size_t BsdVm::Reclaim(phys::Page* p) {
+  if (p->owner_kind != phys::OwnerKind::kBsdObject) {
+    pm_.Dequeue(p);
+    return 0;
+  }
+  auto* obj = static_cast<VmObject*>(p->owner);
+  mmu_.PageProtect(p, sim::Prot::kNone);
+  if (p->dirty) {
+    if (obj->pager == nullptr) {
+      SIM_ASSERT(obj->internal_);
+      machine_.Charge(sim::CostCat::kAlloc, machine_.cost().pager_alloc_ns);
+      obj->pager = NewSwapPager();
+    }
+    // The page stays dirty through the retries, so giving up loses nothing.
+    int perr = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+                                   [&] { return obj->pager->PutPage(pm_, p, p->offset); });
+    if (perr != sim::kOk) {
+      pm_.Activate(p);  // swap full or I/O error; keep the page
+      return 0;
+    }
+    // First pageout to swap is one of BSD VM's collapse triggers (§5.1).
+    TryCollapse(obj);
+    // The collapse may have freed or moved `p`; re-check before freeing.
+    if (p->owner_kind != phys::OwnerKind::kBsdObject || p->queue == phys::PageQueue::kFree) {
+      return 1;
+    }
+    obj = static_cast<VmObject*>(p->owner);
+  }
+  obj->pages.erase(p->offset);
+  pm_.FreePage(p);
+  return 1;
 }
 
 // ---------------------------------------------------------------------------

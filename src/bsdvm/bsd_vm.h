@@ -18,6 +18,7 @@
 #include "src/bsdvm/vm_object.h"
 #include "src/vm/vm_iface.h"
 #include "src/mmu/pmap.h"
+#include "src/phys/pagedaemon.h"
 #include "src/phys/phys_mem.h"
 #include "src/sim/lock.h"
 #include "src/sim/machine.h"
@@ -53,7 +54,7 @@ struct BsdConfig {
   kern::VmTuning tuning;                  // shared pageout-retry policy
 };
 
-class BsdVm : public kern::VmSystem {
+class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
  public:
   BsdVm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu, vfs::VnodeCache& vnodes,
         swp::SwapDevice& swap, const BsdConfig& config = BsdConfig{});
@@ -134,12 +135,12 @@ class BsdVm : public kern::VmSystem {
   bool CanBypass(const VmObject* o, const VmObject* s) const;
 
   phys::Page* AllocPageInObject(VmObject* obj, std::uint64_t pgindex, bool zero);
-  // AllocPage with pagedaemon reclaim and bounded backoff retries
-  // (mirrors Uvm::AllocPageOrReclaim); nullptr on true exhaustion.
-  phys::Page* AllocPageReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
-                               bool zero);
   // Remove a page from its object and free the frame (mappings removed).
   void FreeObjectPage(phys::Page* p);
+
+  // Pageout (§6): the per-owner halves of the shared pagedaemon scan.
+  void ContainPoisoned(phys::Page* p) override;
+  std::size_t Reclaim(phys::Page* p) override;
 
   // --- hwpoison containment (DESIGN.md §13) ---
   // A fault found a poisoned resident page in the chain. Clean pages are
@@ -174,6 +175,7 @@ class BsdVm : public kern::VmSystem {
   vfs::VnodeCache& vnodes_;
   swp::SwapDevice& swap_;
   BsdConfig config_;
+  phys::Pagedaemon pagedaemon_;
 
   // Class-level stand-in for BSD's per-object locks: the fault chain walk
   // takes it once per hop, folding the hop cost into the acquire so the

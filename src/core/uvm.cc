@@ -34,6 +34,7 @@ Uvm::Uvm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu, vfs::Vn
       vnodes_(vnodes),
       swap_(swap),
       config_(config),
+      pagedaemon_(pm, *this, "uvm_pagedaemon", config.tuning.max_alloc_retries),
       object_lock_(machine, "uvm.object", sim::LockRank::kObject),
       amap_lock_(machine, "uvm.amap", sim::LockRank::kAmap),
       anon_pool_("uvm.anon", &machine.pools()),
@@ -231,27 +232,6 @@ void Uvm::ReleaseObjectPage(phys::Page* p) {
     return;
   }
   pm_.FreePage(p);
-}
-
-phys::Page* Uvm::AllocPageOrReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
-                                    bool zero) {
-  phys::Page* p = pm_.AllocPage(kind, owner, offset, zero);
-  if (p == nullptr) {
-    PageDaemon(pm_.free_target());
-    p = pm_.AllocPage(kind, owner, offset, zero);
-  }
-  if (p == nullptr) {
-    // Under sustained pressure one daemon pass may not recover enough: back
-    // off in virtual time and retry, bounded so true exhaustion still
-    // surfaces as a clean failure instead of a hang.
-    sim::RetryWithBackoff(
-        machine_,
-        {config_.tuning.max_alloc_retries, machine_.cost().mem_retry_backoff_ns,
-         &machine_.stats().alloc_retries},
-        [&] { return (p = pm_.AllocPage(kind, owner, offset, zero)) != nullptr; },
-        [&](int) { PageDaemon(pm_.free_target()); });
-  }
-  return p;
 }
 
 // ---------------------------------------------------------------------------
@@ -805,7 +785,7 @@ int Uvm::AllocProcResources(kern::ProcKernelResources* out) {
   // UVM: the u-area and kernel stack are wired frames whose wired state is
   // recorded in the proc structure — zero kernel map entries (§3.2).
   for (std::size_t i = 0; i < kUPages + kKStackPages; ++i) {
-    phys::Page* p = AllocPageOrReclaim(phys::OwnerKind::kKernel, this, 0, /*zero=*/true);
+    phys::Page* p = pagedaemon_.AllocPage(phys::OwnerKind::kKernel, this, 0, /*zero=*/true);
     if (p == nullptr) {
       return sim::kErrNoMem;
     }
@@ -918,14 +898,14 @@ int Uvm::AnonPageIn(Anon* anon) {
   if (anon->swap_slot == swp::kNoSlot) {
     // A clean zero-fill page that was reclaimed: its contents were all
     // zero, so re-materialize it as a fresh zero page.
-    phys::Page* p = AllocPageOrReclaim(phys::OwnerKind::kUvmAnon, anon, 0, /*zero=*/true);
+    phys::Page* p = pagedaemon_.AllocPage(phys::OwnerKind::kUvmAnon, anon, 0, /*zero=*/true);
     if (p == nullptr) {
       return sim::kErrNoMem;
     }
     anon->page = p;
     return sim::kOk;
   }
-  phys::Page* p = AllocPageOrReclaim(phys::OwnerKind::kUvmAnon, anon, 0, /*zero=*/false);
+  phys::Page* p = pagedaemon_.AllocPage(phys::OwnerKind::kUvmAnon, anon, 0, /*zero=*/false);
   if (p == nullptr) {
     return sim::kErrNoMem;
   }
@@ -963,7 +943,7 @@ int Uvm::AnonPageInCluster(UvmMapEntry& e, sim::Vaddr va, Anon* anon) {
   // single-page read.
   std::vector<phys::Page*> pages;
   for (Anon* a : run) {
-    phys::Page* p = AllocPageOrReclaim(phys::OwnerKind::kUvmAnon, a, 0, /*zero=*/false);
+    phys::Page* p = pagedaemon_.AllocPage(phys::OwnerKind::kUvmAnon, a, 0, /*zero=*/false);
     if (p == nullptr) {
       for (phys::Page* q : pages) {
         pm_.FreePage(q);
@@ -1023,7 +1003,7 @@ void Uvm::TryMergeEntry(UvmMap& map, UvmMap::iterator it) {
 
 phys::Page* Uvm::BreakLoan(phys::Page* old_page, phys::OwnerKind kind, void* owner,
                            sim::ObjOffset offset) {
-  phys::Page* np = AllocPageOrReclaim(kind, owner, offset, /*zero=*/false);
+  phys::Page* np = pagedaemon_.AllocPage(kind, owner, offset, /*zero=*/false);
   if (np == nullptr) {
     return nullptr;
   }
@@ -1154,7 +1134,7 @@ int Uvm::FaultLocked(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr va, bool wr
         // COW anon copy (Figure 3, third column).
         Anon* na = NewAnon();
         const std::uint32_t src_gen = page->gen;
-        na->page = AllocPageOrReclaim(phys::OwnerKind::kUvmAnon, na, 0, /*zero=*/false);
+        na->page = pagedaemon_.AllocPage(phys::OwnerKind::kUvmAnon, na, 0, /*zero=*/false);
         if (na->page == nullptr) {
           DerefAnon(na);
           return sim::kErrNoMem;
@@ -1229,7 +1209,7 @@ int Uvm::FaultLocked(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr va, bool wr
       EnsureAmap(e);
       Anon* na = NewAnon();
       std::uint32_t src_gen = page->gen;
-      na->page = AllocPageOrReclaim(phys::OwnerKind::kUvmAnon, na, 0, /*zero=*/false);
+      na->page = pagedaemon_.AllocPage(phys::OwnerKind::kUvmAnon, na, 0, /*zero=*/false);
       if (na->page == nullptr) {
         DerefAnon(na);
         return sim::kErrNoMem;
@@ -1293,7 +1273,7 @@ int Uvm::FaultLocked(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr va, bool wr
     }
     EnsureAmap(e);
     Anon* na = NewAnon();
-    na->page = AllocPageOrReclaim(phys::OwnerKind::kUvmAnon, na, 0, /*zero=*/true);
+    na->page = pagedaemon_.AllocPage(phys::OwnerKind::kUvmAnon, na, 0, /*zero=*/true);
     if (na->page == nullptr) {
       DerefAnon(na);
       return sim::kErrNoMem;
@@ -1477,15 +1457,8 @@ std::size_t Uvm::PageOutAnonCluster(phys::Page* first) {
   // authoritative copy, so a failed pageout can never lose data. Transient
   // errors are retried with doubling virtual-time backoff; permanent slot
   // errors are remapped to a fresh run by the swap layer.
-  int err = swap_.WriteRunRemapping(&base, datas);
-  if (err == sim::kErrIO) {
-    sim::RetryWithBackoff(
-        machine_,
-        {config_.tuning.max_pageout_retries, machine_.cost().io_retry_backoff_ns,
-         &machine_.stats().pageout_retries},
-        [&] { return (err = swap_.WriteRunRemapping(&base, datas)) != sim::kErrIO; },
-        [](int) {});
-  }
+  int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+                                [&] { return swap_.WriteRunRemapping(&base, datas); });
   if (err != sim::kOk) {
     if (base != swp::kNoSlot) {
       swap_.FreeRange(base, cluster.size());
@@ -1529,15 +1502,8 @@ std::size_t Uvm::PageOutObjectRun(phys::Page* first) {
   for (phys::Page* p : run) {
     mmu_.PageProtect(p, sim::Prot::kNone);
   }
-  int err = obj->pgops->Put(*this, *obj, run);
-  if (err == sim::kErrIO) {
-    sim::RetryWithBackoff(
-        machine_,
-        {config_.tuning.max_pageout_retries, machine_.cost().io_retry_backoff_ns,
-         &machine_.stats().pageout_retries},
-        [&] { return (err = obj->pgops->Put(*this, *obj, run)) != sim::kErrIO; },
-        [](int) {});
-  }
+  int err = sim::RetryPageoutIo(machine_, config_.tuning.max_pageout_retries,
+                                [&] { return obj->pgops->Put(*this, *obj, run); });
   if (err != sim::kOk) {
     for (phys::Page* p : run) {
       pm_.Activate(p);  // pages stay dirty on the object; retried later
@@ -1551,88 +1517,53 @@ std::size_t Uvm::PageOutObjectRun(phys::Page* first) {
   return run.size();
 }
 
-std::size_t Uvm::PageDaemon(std::size_t target_free) {
-  sim::ChargeScope scope(machine_, sim::CostCat::kPageout, "uvm_pagedaemon");
-  phys::PageoutScope pressure_scope(pm_);  // daemon allocs may use the reserve
-  std::size_t freed = 0;
-  std::size_t guard = pm_.total_pages() * 4 + 64;
-  while (pm_.free_pages() < target_free && guard-- > 0) {
-    if (pm_.inactive_queue().empty()) {
-      std::size_t want = (target_free - pm_.free_pages()) * 2 + 4;
-      while (want-- > 0 && !pm_.active_queue().empty()) {
-        phys::Page* ap = pm_.active_queue().head();
-        ap->referenced = false;
-        pm_.Deactivate(ap);
-      }
-      if (pm_.inactive_queue().empty()) {
-        break;
-      }
-    }
-    phys::Page* p = pm_.inactive_queue().head();
-    if (p->poisoned) {
-      // Checked before the reference bit: a poisoned frame must leave
-      // circulation, not get another lap of the queues. Clean pages are
-      // discarded (retired, a refault refetches); dirty pages are parked
-      // off-queue so a later fault discovers the loss and kills the
-      // toucher — the daemon never pages out poisoned data.
-      machine_.Charge(sim::CostCat::kPoison, machine_.cost().poison_contain_ns);
-      if (p->dirty || p->owner_kind == phys::OwnerKind::kNone ||
-          p->owner_kind == phys::OwnerKind::kKernel) {
-        pm_.Dequeue(p);
-      } else if (p->owner_kind == phys::OwnerKind::kUvmAnon) {
-        ++machine_.stats().poison_discards;
-        static_cast<Anon*>(p->owner)->page = nullptr;
-        mmu_.PageProtect(p, sim::Prot::kNone);
-        pm_.FreePage(p);  // retires; the frame never reaches the free list
-      } else {
-        ++machine_.stats().poison_discards;
-        ReleaseObjectPage(p);
-      }
-      continue;
-    }
-    if (p->referenced) {
-      p->referenced = false;
-      pm_.Activate(p);
-      continue;
-    }
-    if (p->wire_count > 0 || p->busy || p->loan_count > 0) {
-      pm_.Dequeue(p);
-      continue;
-    }
-    switch (p->owner_kind) {
-      case phys::OwnerKind::kUvmAnon: {
-        auto* anon = static_cast<Anon*>(p->owner);
-        if (!p->dirty) {
-          // A clean anon page either has a valid swap copy or was never
-          // written (zero-fill); both refault correctly.
-          mmu_.PageProtect(p, sim::Prot::kNone);
-          anon->page = nullptr;
-          pm_.FreePage(p);
-          ++freed;
-        } else {
-          std::size_t n = PageOutAnonCluster(p);
-          if (n == 0) {
-            pm_.Activate(p);  // swap full or I/O error; retry later
-          }
-          freed += n;
-        }
-        break;
-      }
-      case phys::OwnerKind::kUvmObject: {
-        if (!p->dirty) {
-          ReleaseObjectPage(p);
-          ++freed;
-        } else {
-          freed += PageOutObjectRun(p);
-        }
-        break;
-      }
-      default:
-        pm_.Dequeue(p);
-        break;
-    }
+std::size_t Uvm::PageDaemon(std::size_t target_free) { return pagedaemon_.Run(target_free); }
+
+void Uvm::ContainPoisoned(phys::Page* p) {
+  // Clean pages are discarded (retired, a refault refetches); dirty pages
+  // are parked off-queue so a later fault discovers the loss and kills the
+  // toucher — the daemon never pages out poisoned data.
+  if (p->dirty || p->owner_kind == phys::OwnerKind::kNone ||
+      p->owner_kind == phys::OwnerKind::kKernel) {
+    pm_.Dequeue(p);
+  } else if (p->owner_kind == phys::OwnerKind::kUvmAnon) {
+    ++machine_.stats().poison_discards;
+    static_cast<Anon*>(p->owner)->page = nullptr;
+    mmu_.PageProtect(p, sim::Prot::kNone);
+    pm_.FreePage(p);  // retires; the frame never reaches the free list
+  } else {
+    ++machine_.stats().poison_discards;
+    ReleaseObjectPage(p);
   }
-  return freed;
+}
+
+std::size_t Uvm::Reclaim(phys::Page* p) {
+  switch (p->owner_kind) {
+    case phys::OwnerKind::kUvmAnon: {
+      if (!p->dirty) {
+        // A clean anon page either has a valid swap copy or was never
+        // written (zero-fill); both refault correctly.
+        mmu_.PageProtect(p, sim::Prot::kNone);
+        static_cast<Anon*>(p->owner)->page = nullptr;
+        pm_.FreePage(p);
+        return 1;
+      }
+      std::size_t n = PageOutAnonCluster(p);
+      if (n == 0) {
+        pm_.Activate(p);  // swap full or I/O error; retry later
+      }
+      return n;
+    }
+    case phys::OwnerKind::kUvmObject:
+      if (!p->dirty) {
+        ReleaseObjectPage(p);
+        return 1;
+      }
+      return PageOutObjectRun(p);
+    default:
+      pm_.Dequeue(p);
+      return 0;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1742,7 +1673,7 @@ int Uvm::Transfer(kern::AddressSpace& dst_, sim::Vaddr* addr, std::span<phys::Pa
       // gets an anon holding a copy (one copy — still half the cost of the
       // classic copyin/copyout path).
       a = NewAnon();
-      a->page = AllocPageOrReclaim(phys::OwnerKind::kUvmAnon, a, 0, /*zero=*/false);
+      a->page = pagedaemon_.AllocPage(phys::OwnerKind::kUvmAnon, a, 0, /*zero=*/false);
       if (a->page == nullptr) {
         DerefAnon(a);
         DerefAmap(e.amap);

@@ -25,6 +25,7 @@
 #include "src/core/uvm_object.h"
 #include "src/vm/vm_iface.h"
 #include "src/mmu/pmap.h"
+#include "src/phys/pagedaemon.h"
 #include "src/phys/phys_mem.h"
 #include "src/sim/lock.h"
 #include "src/sim/machine.h"
@@ -75,7 +76,7 @@ struct UvmConfig {
   kern::VmTuning tuning;  // shared pageout-retry policy
 };
 
-class Uvm : public kern::VmSystem {
+class Uvm : public kern::VmSystem, private phys::PageoutHooks {
  public:
   Uvm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu, vfs::VnodeCache& vnodes,
       swp::SwapDevice& swap, const UvmConfig& config = UvmConfig{});
@@ -147,8 +148,7 @@ class Uvm : public kern::VmSystem {
   sim::PoolResource& pagestore_pool() { return pagestore_chunk_pool_; }
 
   // Page allocation with pagedaemon fallback (used by pagers too).
-  phys::Page* AllocPageOrReclaim(phys::OwnerKind kind, void* owner, sim::ObjOffset offset,
-                                 bool zero);
+  phys::Pagedaemon& pagedaemon() { return pagedaemon_; }
 
   // Helpers for the pager ops and the vnode attachment.
   void VnodeCacheRef(vfs::Vnode* vn) { vnodes_.Ref(vn); }
@@ -214,7 +214,9 @@ class Uvm : public kern::VmSystem {
   void ClipEndRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va);
   void DropEntryRefs(UvmMapEntry& e);
 
-  // --- pageout ---
+  // --- pageout (§6): the per-owner halves of the shared pagedaemon scan ---
+  void ContainPoisoned(phys::Page* p) override;
+  std::size_t Reclaim(phys::Page* p) override;
   std::size_t PageOutAnonCluster(phys::Page* first);
   std::size_t PageOutObjectRun(phys::Page* first);
 
@@ -242,6 +244,7 @@ class Uvm : public kern::VmSystem {
   vfs::VnodeCache& vnodes_;
   swp::SwapDevice& swap_;
   UvmConfig config_;
+  phys::Pagedaemon pagedaemon_;
 
   // Class-level stand-ins for UVM's per-object and per-amap locks (§3:
   // UVM's two-layer locking). Zero-cost: the amap/object lookup costs

@@ -52,7 +52,7 @@ class VnodeOps : public PagerOps {
       // Mapping extends past EOF: hand back a zero page owned by the
       // object (clean; refault re-zeroes if reclaimed).
       phys::Page* p =
-          vm.AllocPageOrReclaim(phys::OwnerKind::kUvmObject, &obj, pgindex, /*zero=*/true);
+          vm.pagedaemon().AllocPage(phys::OwnerKind::kUvmObject, &obj, pgindex, /*zero=*/true);
       if (p == nullptr) {
         return sim::kErrNoMem;
       }
@@ -77,7 +77,7 @@ class VnodeOps : public PagerOps {
     }
     for (std::uint64_t i = 0; i < n; ++i) {
       phys::Page* p =
-          vm.AllocPageOrReclaim(phys::OwnerKind::kUvmObject, &obj, pgindex + i, /*zero=*/false);
+          vm.pagedaemon().AllocPage(phys::OwnerKind::kUvmObject, &obj, pgindex + i, /*zero=*/false);
       if (p == nullptr) {
         if (i == 0) {
           return sim::kErrNoMem;
@@ -217,14 +217,8 @@ void UvmVnode::Terminate(vfs::Vnode& vnode) {
     if (r.empty()) {
       return;
     }
-    int err = FlushRun(vm, *this, r);
-    if (err == sim::kErrIO) {
-      sim::RetryWithBackoff(
-          vm.machine(),
-          {vm.config().tuning.max_pageout_retries, vm.machine().cost().io_retry_backoff_ns,
-           &vm.machine().stats().pageout_retries},
-          [&] { return (err = FlushRun(vm, *this, r)) != sim::kErrIO; }, [](int) {});
-    }
+    int err = sim::RetryPageoutIo(vm.machine(), vm.config().tuning.max_pageout_retries,
+                                  [&] { return FlushRun(vm, *this, r); });
     if (err == sim::kErrIO) {
       vm.machine().stats().pageout_drops += r.size();
       if (vm.machine().tracer().enabled()) {

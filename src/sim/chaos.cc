@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "src/sim/assert.h"
+#include "src/sim/event_plan.h"
 #include "src/sim/rng.h"
 
 namespace sim {
@@ -19,50 +20,6 @@ constexpr std::uint64_t kChaosGamma = 0x9e3779b97f4a7c15ull;
 constexpr std::uint64_t kIoStream = kChaosGamma * 1;
 constexpr std::uint64_t kPressureStream = kChaosGamma * 2;
 constexpr std::uint64_t kPoisonStream = kChaosGamma * 3;
-
-void SkipWs(const std::string& s, std::size_t* i) {
-  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i])) != 0) {
-    ++*i;
-  }
-}
-
-bool ParseU64(const std::string& s, std::size_t* i, std::uint64_t* out) {
-  std::size_t start = *i;
-  std::uint64_t v = 0;
-  while (*i < s.size() && std::isdigit(static_cast<unsigned char>(s[*i])) != 0) {
-    v = v * 10 + static_cast<std::uint64_t>(s[*i] - '0');
-    ++*i;
-  }
-  if (*i == start) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-// "N[ns|us|ms|s]" -> nanoseconds (default ns), entire-token match required.
-bool ParseTime(const std::string& tok, Nanoseconds* out) {
-  std::size_t i = 0;
-  std::uint64_t t = 0;
-  if (!ParseU64(tok, &i, &t)) {
-    return false;
-  }
-  std::uint64_t scale = 1;
-  if (tok.compare(i, 2, "ns") == 0) {
-    i += 2;
-  } else if (tok.compare(i, 2, "us") == 0) {
-    scale = 1'000, i += 2;
-  } else if (tok.compare(i, 2, "ms") == 0) {
-    scale = 1'000'000, i += 2;
-  } else if (i < tok.size() && tok[i] == 's') {
-    scale = 1'000'000'000, i += 1;
-  }
-  if (i != tok.size()) {
-    return false;
-  }
-  *out = static_cast<Nanoseconds>(t * scale);
-  return true;
-}
 
 std::string FormatTime(Nanoseconds ns) {
   const std::uint64_t v = static_cast<std::uint64_t>(ns);
@@ -111,9 +68,7 @@ bool ParseSchedSpec(const std::string& spec, SchedSpec* out, std::string* error)
   const std::size_t colon = spec.find(':');
   if (colon != std::string::npos) {
     head = spec.substr(0, colon);
-    const std::string tail = spec.substr(colon + 1);
-    std::size_t i = 0;
-    if (!ParseU64(tail, &i, &out->seed) || i != tail.size()) {
+    if (!ParseUint(std::string_view(spec).substr(colon + 1), &out->seed)) {
       *error = "bad schedule seed in \"" + spec + "\" (want STRAT[PARAM][:SEED])";
       return false;
     }
@@ -126,8 +81,7 @@ bool ParseSchedSpec(const std::string& spec, SchedSpec* out, std::string* error)
   const std::string name = head.substr(0, name_end);
   const std::string param = head.substr(name_end);
   if (!param.empty()) {
-    std::size_t i = 0;
-    if (!ParseU64(param, &i, &out->param) || i != param.size() || out->param == 0) {
+    if (!ParseUint(param, &out->param) || out->param == 0) {
       *error = "bad strategy parameter in \"" + spec + "\" (want e.g. pct3 or pb16)";
       return false;
     }
@@ -172,62 +126,37 @@ bool ParseChaosSpec(const std::string& spec, ChaosSpec* out, std::string* error)
   *out = ChaosSpec{};
   bool any_component = false;
   // ':'-separated segments: the first lists components, the rest options.
-  std::size_t pos = 0;
-  bool first_segment = true;
-  while (pos <= spec.size()) {
-    std::size_t colon = spec.find(':', pos);
-    if (colon == std::string::npos) {
-      colon = spec.size();
-    }
-    const std::string seg = spec.substr(pos, colon - pos);
-    pos = colon + 1;
-    if (first_segment) {
-      first_segment = false;
-      std::size_t cpos = 0;
-      while (cpos <= seg.size()) {
-        std::size_t comma = seg.find(',', cpos);
-        if (comma == std::string::npos) {
-          comma = seg.size();
-        }
-        std::string tok = seg.substr(cpos, comma - cpos);
-        cpos = comma + 1;
-        std::size_t i = 0;
-        SkipWs(tok, &i);
-        std::size_t end = tok.size();
-        while (end > i && std::isspace(static_cast<unsigned char>(tok[end - 1])) != 0) {
-          --end;
-        }
-        tok = tok.substr(i, end - i);
-        if (tok.empty()) {
-          continue;
-        }
-        const std::size_t eq = tok.find('=');
-        if (eq == std::string::npos) {
-          *error = "expected COMPONENT=COUNT in \"" + tok + "\" (io, pressure or poison)";
-          return false;
-        }
-        const std::string key = tok.substr(0, eq);
-        const std::string val = tok.substr(eq + 1);
-        std::uint64_t count = 0;
-        std::size_t vi = 0;
-        if (!ParseU64(val, &vi, &count) || vi != val.size()) {
-          *error = "bad event count in \"" + tok + "\"";
-          return false;
-        }
-        if (key == "io") {
-          out->io = count;
-        } else if (key == "pressure") {
-          out->pressure = count;
-        } else if (key == "poison") {
-          out->poison = count;
-        } else {
-          *error = "unknown chaos component \"" + key + "\" (want io, pressure or poison)";
-          return false;
-        }
-        any_component = true;
-      }
+  const std::vector<std::string> segs = SplitFields(spec, ':');
+  for (const std::string& field : SplitFields(segs[0], ',')) {
+    const std::string tok(TrimSpace(field));
+    if (tok.empty()) {
       continue;
     }
+    const std::size_t eq = tok.find('=');
+    if (eq == std::string::npos) {
+      *error = "expected COMPONENT=COUNT in \"" + tok + "\" (io, pressure or poison)";
+      return false;
+    }
+    const std::string key = tok.substr(0, eq);
+    std::uint64_t count = 0;
+    if (!ParseUint(std::string_view(tok).substr(eq + 1), &count)) {
+      *error = "bad event count in \"" + tok + "\"";
+      return false;
+    }
+    if (key == "io") {
+      out->io = count;
+    } else if (key == "pressure") {
+      out->pressure = count;
+    } else if (key == "poison") {
+      out->poison = count;
+    } else {
+      *error = "unknown chaos component \"" + key + "\" (want io, pressure or poison)";
+      return false;
+    }
+    any_component = true;
+  }
+  for (std::size_t k = 1; k < segs.size(); ++k) {
+    const std::string& seg = segs[k];
     if (seg.empty()) {
       continue;
     }
@@ -235,13 +164,12 @@ bool ParseChaosSpec(const std::string& spec, ChaosSpec* out, std::string* error)
     const std::string key = eq == std::string::npos ? seg : seg.substr(0, eq);
     const std::string val = eq == std::string::npos ? std::string() : seg.substr(eq + 1);
     if (key == "seed") {
-      std::size_t i = 0;
-      if (!ParseU64(val, &i, &out->seed) || i != val.size()) {
+      if (!ParseUint(val, &out->seed)) {
         *error = "bad storm seed in \"" + seg + "\"";
         return false;
       }
     } else if (key == "span") {
-      if (!ParseTime(val, &out->span) || out->span == 0) {
+      if (!ParseDuration(val, &out->span) || out->span == 0) {
         *error = "bad storm span in \"" + seg + "\" (want e.g. span=80ms)";
         return false;
       }
@@ -367,24 +295,13 @@ std::string FormatRepro(const std::vector<std::pair<std::string, std::string>>& 
 bool ParseRepro(const std::string& repro,
                 std::vector<std::pair<std::string, std::string>>* out, std::string* error) {
   out->clear();
-  std::size_t pos = 0;
-  std::size_t bar = repro.find('|');
-  const std::string head = repro.substr(0, bar == std::string::npos ? repro.size() : bar);
-  if (head != kReproPrefix) {
+  const std::vector<std::string> fields = SplitFields(repro, '|');
+  if (fields[0] != kReproPrefix) {
     *error = "repro string must start with \"" + std::string(kReproPrefix) + "\"";
     return false;
   }
-  if (bar == std::string::npos) {
-    return true;
-  }
-  pos = bar + 1;
-  while (pos <= repro.size()) {
-    bar = repro.find('|', pos);
-    if (bar == std::string::npos) {
-      bar = repro.size();
-    }
-    const std::string field = repro.substr(pos, bar - pos);
-    pos = bar + 1;
+  for (std::size_t k = 1; k < fields.size(); ++k) {
+    const std::string& field = fields[k];
     const std::size_t eq = field.find('=');
     if (eq == std::string::npos || eq == 0) {
       *error = "bad repro field \"" + field + "\" (want key=value)";

@@ -1,8 +1,5 @@
 #include "src/sim/fault.h"
 
-#include <algorithm>
-#include <cctype>
-
 #include "src/sim/assert.h"
 
 namespace sim {
@@ -67,121 +64,31 @@ std::optional<InjectedFault> FaultInjector::OnOp(IoDevice dev, IoDir dir,
   return f;
 }
 
-namespace {
-
-void SkipWs(const std::string& s, std::size_t* i) {
-  while (*i < s.size() && std::isspace(static_cast<unsigned char>(s[*i])) != 0) {
-    ++*i;
-  }
-}
-
-bool ParseU64(const std::string& s, std::size_t* i, std::uint64_t* out) {
-  std::size_t start = *i;
-  std::uint64_t v = 0;
-  while (*i < s.size() && std::isdigit(static_cast<unsigned char>(s[*i])) != 0) {
-    v = v * 10 + static_cast<std::uint64_t>(s[*i] - '0');
-    ++*i;
-  }
-  if (*i == start) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-bool ParseOneMemEvent(const std::string& tok, MemFaultEvent* ev, std::string* error) {
-  std::size_t i = 0;
-  SkipWs(tok, &i);
-  if (i >= tok.size() || tok[i] != '@') {
-    *error = "expected '@TIME' in \"" + tok + "\"";
-    return false;
-  }
-  ++i;
-  std::uint64_t t = 0;
-  if (!ParseU64(tok, &i, &t)) {
-    *error = "bad time in \"" + tok + "\"";
-    return false;
-  }
-  // Optional unit suffix; default is nanoseconds.
-  std::uint64_t scale = 1;
-  if (tok.compare(i, 2, "ns") == 0) {
-    i += 2;
-  } else if (tok.compare(i, 2, "us") == 0) {
-    scale = 1'000, i += 2;
-  } else if (tok.compare(i, 2, "ms") == 0) {
-    scale = 1'000'000, i += 2;
-  } else if (i < tok.size() && tok[i] == 's') {
-    scale = 1'000'000'000, i += 1;
-  }
-  ev->at = static_cast<Nanoseconds>(t * scale);
-  SkipWs(tok, &i);
-  if (tok.compare(i, 6, "poison") != 0) {
-    *error = "expected 'poison' in \"" + tok + "\"";
-    return false;
-  }
-  i += 6;
-  SkipWs(tok, &i);
-  if (tok.compare(i, 7, "random:") == 0) {
-    i += 7;
-    ev->random = true;
-    if (!ParseU64(tok, &i, &ev->count) || ev->count == 0) {
-      *error = "bad count in \"" + tok + "\"";
-      return false;
-    }
-  } else {
-    ev->random = false;
-    if (!ParseU64(tok, &i, &ev->pfn)) {
-      *error = "bad pfn in \"" + tok + "\"";
-      return false;
-    }
-  }
-  SkipWs(tok, &i);
-  if (i != tok.size()) {
-    *error = "trailing junk in \"" + tok + "\"";
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 bool ParseMemFaultPlan(const std::string& spec, MemFaultPlan* out, std::string* error) {
-  out->events.clear();
-  std::size_t pos = 0;
-  while (pos <= spec.size()) {
-    std::size_t semi = spec.find(';', pos);
-    if (semi == std::string::npos) {
-      semi = spec.size();
-    }
-    std::string tok = spec.substr(pos, semi - pos);
-    pos = semi + 1;
-    // Allow empty segments (trailing ';', blank spec).
-    std::size_t i = 0;
-    SkipWs(tok, &i);
-    if (i == tok.size()) {
-      continue;
-    }
-    MemFaultEvent ev;
-    if (!ParseOneMemEvent(tok, &ev, error)) {
-      return false;
-    }
-    out->events.push_back(ev);
-  }
-  return true;
-}
-
-void FaultInjector::SetMemPlan(const MemFaultPlan& plan) {
-  mem_events_ = plan.events;
-  // Same-timestamp events keep spec order.
-  std::stable_sort(mem_events_.begin(), mem_events_.end(),
-                   [](const MemFaultEvent& a, const MemFaultEvent& b) { return a.at < b.at; });
-  mem_next_ = 0;
+  return ParseTimedPlan(
+      spec, &out->events, error, [](PlanLexer& lx, MemFaultEvent* ev, std::string* err) {
+        if (!lx.Accept("poison")) {
+          *err = lx.Error("expected 'poison'");
+          return false;
+        }
+        lx.SkipSpace();
+        ev->random = lx.Accept("random:");
+        if (!ev->random) {
+          return lx.Uint("pfn", &ev->pfn, err);
+        }
+        if (!lx.Uint("count", &ev->count, err)) {
+          return false;
+        }
+        if (ev->count == 0) {
+          *err = lx.Error("bad count");
+          return false;
+        }
+        return true;
+      });
 }
 
 void FaultInjector::ApplyDueMem(Nanoseconds now, Stats& stats, Tracer& tracer) {
-  while (mem_next_ < mem_events_.size() && mem_events_[mem_next_].at <= now) {
-    const MemFaultEvent& ev = mem_events_[mem_next_];
-    ++mem_next_;
+  mem_timeline_.PopDue(now, [&](const MemFaultEvent& ev) {
     SIM_ASSERT_MSG(mem_actuator_ != nullptr,
                    "memfault plan installed with no registered actuator");
     mem_actuator_(ev, rng_);
@@ -189,7 +96,7 @@ void FaultInjector::ApplyDueMem(Nanoseconds now, Stats& stats, Tracer& tracer) {
     if (tracer.enabled()) {
       tracer.Instant(CostCat::kPoison, "memfault", now, ev.random ? ev.count : 1);
     }
-  }
+  });
 }
 
 }  // namespace sim

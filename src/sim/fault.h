@@ -19,9 +19,11 @@
 // The injector also replays *memory-fault plans* (DESIGN.md §13): scripted
 // virtual-time points at which physical frames suffer an uncorrectable
 // memory error and are poisoned, hwpoison-style. Like the pressure engine,
-// the frame owner (phys::PhysMem) registers an actuator at construction and
-// the hot paths poll via Machine::PollPressure(); with no plan installed
-// PollMem() is a single branch and no randomness is drawn.
+// the plan is replayed by a sim::Timeline (event_plan.h); the frame owner
+// (phys::PhysMem) registers an actuator at construction and the hot paths
+// poll via Machine::PollPressure(); with no plan installed PollMem() is a
+// single branch and no randomness is drawn. The per-device I/O plans above
+// count operations, not virtual time, and sit outside the timeline.
 #ifndef SRC_SIM_FAULT_H_
 #define SRC_SIM_FAULT_H_
 
@@ -32,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/event_plan.h"
 #include "src/sim/rng.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
@@ -94,7 +97,7 @@ struct MemFaultPlan {
 //
 // TIME takes an optional unit suffix (ns, us, ms, s; default ns).
 // Whitespace around tokens is ignored. Returns false and fills *error on
-// malformed input.
+// malformed input, including a TIME, PFN or N that does not fit in 64 bits.
 bool ParseMemFaultPlan(const std::string& spec, MemFaultPlan* out, std::string* error);
 
 class FaultInjector {
@@ -139,23 +142,15 @@ class FaultInjector {
 
   // Install a plan; events are applied in (time, spec order). Replaces any
   // previous plan and restarts from the first event.
-  void SetMemPlan(const MemFaultPlan& plan);
-  void ClearMemPlan() {
-    mem_events_.clear();
-    mem_next_ = 0;
-  }
+  void SetMemPlan(const MemFaultPlan& plan) { mem_timeline_.Set(plan.events); }
   void RegisterMemActuator(MemActuator fn) { mem_actuator_ = std::move(fn); }
-
-  bool has_mem_plan() const { return !mem_events_.empty(); }
-  std::size_t pending_mem_events() const { return mem_events_.size() - mem_next_; }
 
   // Apply every memory-fault event due at or before `now`. Charges nothing;
   // counts stats.memfault_events and emits one trace instant per event.
   void PollMem(Nanoseconds now, Stats& stats, Tracer& tracer) {
-    if (mem_next_ >= mem_events_.size() || mem_events_[mem_next_].at > now) {
-      return;
+    if (mem_timeline_.Due(now)) {
+      ApplyDueMem(now, stats, tracer);
     }
-    ApplyDueMem(now, stats, tracer);
   }
 
  private:
@@ -172,8 +167,7 @@ class FaultInjector {
 
   Rng rng_;
   State state_[2];
-  std::vector<MemFaultEvent> mem_events_;
-  std::size_t mem_next_ = 0;
+  Timeline<MemFaultEvent> mem_timeline_;
   MemActuator mem_actuator_;
 };
 

@@ -11,6 +11,8 @@
 // the deficit is absorbed as the pagedaemon frees memory. Growing deflates
 // the balloon.
 //
+// The engine is an actuator table over a sim::Timeline (event_plan.h).
+//
 // Like the fault injector, the engine is inert by default: with no plan
 // installed, Poll() is a single predicted-not-taken branch, no virtual
 // time is charged, and no stats move — a pressure-free run is
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "src/sim/event_plan.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
 #include "src/sim/types.h"
@@ -66,7 +69,8 @@ struct PressurePlan {
 // TIME takes an optional unit suffix (ns, us, ms, s; default ns); RES is
 // "phys" or "swap"; OP is "-=" (shrink), "+=" (grow) or "=" (set the
 // in-service amount). Whitespace around tokens is ignored. Returns false
-// and fills *error on malformed input.
+// and fills *error on malformed input, including a TIME or AMOUNT that does
+// not fit in 64 bits.
 bool ParsePressurePlan(const std::string& spec, PressurePlan* out, std::string* error);
 
 class PressureEngine {
@@ -79,35 +83,29 @@ class PressureEngine {
 
   // Install a plan; events are applied in (time, spec order). Replaces any
   // previous plan and restarts from the first event.
-  void SetPlan(const PressurePlan& plan);
-  void Clear() {
-    events_.clear();
-    next_ = 0;
-  }
+  void SetPlan(const PressurePlan& plan) { timeline_.Set(plan.events); }
 
   // The owner of `res` registers how to actually shrink/grow its pool.
   void RegisterActuator(PressureResource res, Actuator fn) {
     actuators_[static_cast<std::size_t>(res)] = std::move(fn);
   }
 
-  bool has_plan() const { return !events_.empty(); }
+  bool has_plan() const { return !timeline_.empty(); }
   // Events not yet applied.
-  std::size_t pending_events() const { return events_.size() - next_; }
+  std::size_t pending_events() const { return timeline_.pending(); }
 
   // Apply every event due at or before `now`. Charges nothing; counts
   // stats.pressure_events and emits one trace instant per event applied.
   void Poll(Nanoseconds now, Stats& stats, Tracer& tracer) {
-    if (next_ >= events_.size() || events_[next_].at > now) {
-      return;
+    if (timeline_.Due(now)) {
+      ApplyDue(now, stats, tracer);
     }
-    ApplyDue(now, stats, tracer);
   }
 
  private:
   void ApplyDue(Nanoseconds now, Stats& stats, Tracer& tracer);
 
-  std::vector<PressureEvent> events_;
-  std::size_t next_ = 0;
+  Timeline<PressureEvent> timeline_;
   Actuator actuators_[kNumPressureResources];
 };
 

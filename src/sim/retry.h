@@ -1,10 +1,8 @@
-// Shared bounded retry-with-backoff (DESIGN.md §12/§13). PR 5 grew three
-// structurally identical loops — the two VMs' allocation paths and the
-// kernel's fault-recovery path — each counting a Stats retry counter,
-// charging a doubling virtual-time backoff, running a recovery action
-// (usually a pagedaemon pass) and re-attempting. This header is the single
-// copy; poison re-fetch and the pageout retry paths reuse it instead of
-// adding more.
+// Shared bounded retry-with-backoff (DESIGN.md §12/§13), the single copy:
+// count a Stats retry counter, charge a doubling virtual-time backoff, run
+// a recovery action (usually a pagedaemon pass) and re-attempt. Used by
+// phys::Pagedaemon::AllocPage, the kernel's fault recovery, poison
+// re-fetch, and every pageout and flush write through RetryPageoutIo.
 #ifndef SRC_SIM_RETRY_H_
 #define SRC_SIM_RETRY_H_
 
@@ -44,6 +42,21 @@ bool RetryWithBackoff(Machine& machine, const RetryPolicy& policy, Op&& op, Reco
     }
   }
   return false;
+}
+
+// Run a pageout or flush `write` once and, while it fails with kErrIO,
+// re-run it on the (max_retries, io_retry_backoff_ns, pageout_retries)
+// schedule. Returns the last attempt's error.
+template <typename Write>
+int RetryPageoutIo(Machine& machine, int max_retries, Write&& write) {
+  int err = write();
+  if (err == kErrIO) {
+    RetryWithBackoff(
+        machine,
+        {max_retries, machine.cost().io_retry_backoff_ns, &machine.stats().pageout_retries},
+        [&] { return (err = write()) != kErrIO; }, [](int) {});
+  }
+  return err;
 }
 
 }  // namespace sim

@@ -68,4 +68,32 @@ TEST(RetryTest, RecoverRunsBeforeEachAttempt) {
   EXPECT_TRUE(ok) << "recover must run before the attempt it precedes";
 }
 
+TEST(RetryTest, PageoutIoRetriesOnlyEioOnThePageoutSchedule) {
+  sim::Machine m;
+  const sim::Nanoseconds backoff = m.cost().io_retry_backoff_ns;
+  int calls = 0;
+  // Two EIOs, then success: two metered retries, backoff 1x + 2x.
+  int err = sim::RetryPageoutIo(m, 5, [&] { return ++calls < 3 ? sim::kErrIO : sim::kOk; });
+  EXPECT_EQ(sim::kOk, err);
+  EXPECT_EQ(3, calls);
+  EXPECT_EQ(2u, m.stats().pageout_retries);
+  EXPECT_EQ(backoff * 3, m.clock().now());
+
+  // A non-EIO error is final: no retry, no charge.
+  calls = 0;
+  err = sim::RetryPageoutIo(m, 5, [&] { ++calls; return sim::kErrNoSwap; });
+  EXPECT_EQ(sim::kErrNoSwap, err);
+  EXPECT_EQ(1, calls);
+  EXPECT_EQ(2u, m.stats().pageout_retries);
+
+  // A dead device exhausts the budget and reports the last EIO.
+  calls = 0;
+  const sim::Nanoseconds before = m.clock().now();
+  err = sim::RetryPageoutIo(m, 2, [&] { ++calls; return sim::kErrIO; });
+  EXPECT_EQ(sim::kErrIO, err);
+  EXPECT_EQ(3, calls);
+  EXPECT_EQ(4u, m.stats().pageout_retries);
+  EXPECT_EQ(backoff * 3, m.clock().now() - before);
+}
+
 }  // namespace
