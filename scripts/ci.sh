@@ -168,6 +168,22 @@ if ! cmp scripts/golden_stdout.sha256 build/golden_stdout.txt; then
   exit 1
 fi
 
+# The same hashes under ASan and UBSan: sanitized builds must produce
+# byte-identical output, and UBSan catches out-of-range shifts in the
+# stale-line mask arithmetic of lazy zero fill (DESIGN.md §9). A sanitizer
+# report aborts the bench, which fails the golden script.
+if [ "${UVM_CI_SKIP_ASAN:-0}" != "1" ]; then
+  for san in asan ubsan; do
+    UBSAN_OPTIONS=halt_on_error=1 python3 scripts/golden_stdout.py --bindir "build-${san}/bench" \
+      > "build-${san}/golden_stdout.txt"
+    if ! cmp scripts/golden_stdout.sha256 "build-${san}/golden_stdout.txt"; then
+      diff scripts/golden_stdout.sha256 "build-${san}/golden_stdout.txt" >&2 || true
+      echo "ci.sh: ${san} bench stdout differs from scripts/golden_stdout.sha256" >&2
+      exit 1
+    fi
+  done
+fi
+
 # Malformed plan flags must be rejected at parse time with exit 2 and a
 # parser message — never half-armed or silently ignored.
 for bad in "--pressure=@1ms warp" "--memfault=@1ms poison wat" \

@@ -293,17 +293,17 @@ int Kernel::Access(Proc* p, sim::Vaddr va, std::uint64_t len, bool write, std::b
     if (page->wire_count == 0 && !page->busy) {
       pm_.Activate(page);
     }
-    auto data = pm_.Data(page);
     std::uint64_t poff = cur - page_va;
     if (write) {
+      auto data = pm_.Bytes(page, poff, n);
       if (use_fill) {
-        std::memset(data.data() + poff, static_cast<int>(fill), n);
+        std::memset(data.data(), static_cast<int>(fill), n);
       } else {
-        std::memcpy(data.data() + poff, buf + done, n);
+        std::memcpy(data.data(), buf + done, n);
       }
       page->dirty = true;
     } else if (buf != nullptr) {
-      std::memcpy(buf + done, data.data() + poff, n);
+      std::memcpy(buf + done, pm_.Bytes(page, poff, n).data(), n);
     }
     done += n;
   }

@@ -1,7 +1,9 @@
 // The vm_page analogue: one Page struct per frame of simulated physical
-// memory. Pages carry real byte contents (stored in PhysMem's backing
-// buffer), ownership tags linking them back to the memory object or anon
-// they belong to, and intrusive queue linkage for the paging queues.
+// memory. A Page carries ownership tags linking it back to the memory
+// object or anon it belongs to and intrusive queue linkage for the paging
+// queues. Its byte contents live in PhysMem (backing buffer plus the
+// lazy-zero stale-line mask) and are reached only through PhysMem::Bytes
+// and PhysMem::Data.
 #ifndef SRC_PHYS_PAGE_H_
 #define SRC_PHYS_PAGE_H_
 

@@ -1,12 +1,36 @@
 #include "src/phys/phys_mem.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 
 #include "src/sim/assert.h"
 
 namespace phys {
+
+namespace {
+
+// Granularity of lazy zeroing: one bit of a frame's stale mask per line.
+constexpr std::size_t kLineSize = 64;
+static_assert(sim::kPageSize / kLineSize == 64, "one stale bit per line of a page");
+
+// Calls fn(byte offset, byte length) for each maximal run of set bits in
+// `lines`, one bit per line.
+template <typename Fn>
+void ForEachLineRun(std::uint64_t lines, Fn fn) {
+  while (lines != 0) {
+    const int first = std::countr_zero(lines);
+    const int n = std::countr_one(lines >> first);
+    fn(static_cast<std::size_t>(first) * kLineSize, static_cast<std::size_t>(n) * kLineSize);
+    if (first + n == 64) {
+      return;
+    }
+    lines &= ~std::uint64_t{0} << (first + n);
+  }
+}
+
+}  // namespace
 
 void PageList::PushTail(Page* p) {
   SIM_ASSERT(p->q_next == nullptr && p->q_prev == nullptr);
@@ -43,7 +67,8 @@ PhysMem::PhysMem(sim::Machine& machine, std::size_t num_pages)
     : machine_(machine),
       queue_lock_(machine, "phys.pagequeue", sim::LockRank::kPageQueue),
       pages_(num_pages),
-      bytes_(num_pages * sim::kPageSize) {
+      bytes_(sim::AllocZeroedBytes(num_pages * sim::kPageSize)),
+      stale_(num_pages, 0) {
   for (std::size_t i = 0; i < num_pages; ++i) {
     pages_[i].pfn = static_cast<sim::Pfn>(i);
     pages_[i].queue = PageQueue::kFree;
@@ -143,6 +168,8 @@ Page* PhysMem::AllocPage(OwnerKind kind, void* owner, sim::ObjOffset offset, boo
   p->busy = false;
   if (zero) {
     ZeroPage(p);
+  } else {
+    stale_[p->pfn] = 0;  // the caller overwrites every byte
   }
   return p;
 }
@@ -248,24 +275,45 @@ bool PhysMem::FrameIsCurrent(const sim::LockToken& token, const Page* p,
   return p->gen == gen;
 }
 
-std::span<std::byte, sim::kPageSize> PhysMem::Data(Page* p) {
-  return std::span<std::byte, sim::kPageSize>(&bytes_[p->pfn * sim::kPageSize], sim::kPageSize);
+void PhysMem::Materialize(const Page* p, std::uint64_t lines) {
+  const std::uint64_t todo = stale_[p->pfn] & lines;
+  if (todo == 0) {
+    return;
+  }
+  stale_[p->pfn] &= ~todo;
+  std::byte* frame = Frame(p);
+  ForEachLineRun(todo, [frame](std::size_t off, std::size_t len) {
+    std::memset(frame + off, 0, len);
+  });
 }
 
-std::span<const std::byte, sim::kPageSize> PhysMem::Data(const Page* p) const {
-  return std::span<const std::byte, sim::kPageSize>(&bytes_[p->pfn * sim::kPageSize],
-                                                    sim::kPageSize);
+std::span<std::byte, sim::kPageSize> PhysMem::Data(Page* p) {
+  Materialize(p, ~std::uint64_t{0});
+  return std::span<std::byte, sim::kPageSize>(Frame(p), sim::kPageSize);
+}
+
+std::span<std::byte> PhysMem::Bytes(Page* p, std::size_t off, std::size_t len) {
+  SIM_ASSERT(len > 0 && off < sim::kPageSize && len <= sim::kPageSize - off);
+  const std::size_t first = off / kLineSize;
+  const std::size_t last = (off + len - 1) / kLineSize;
+  Materialize(p, (~std::uint64_t{0} >> (63 - last)) & (~std::uint64_t{0} << first));
+  return std::span<std::byte>(Frame(p) + off, len);
 }
 
 void PhysMem::CopyPage(const Page* src, Page* dst) {
-  std::memcpy(&bytes_[dst->pfn * sim::kPageSize], &bytes_[src->pfn * sim::kPageSize],
-              sim::kPageSize);
+  const std::uint64_t stale = stale_[src->pfn];
+  stale_[dst->pfn] = stale;
+  const std::byte* from = Frame(src);
+  std::byte* to = Frame(dst);
+  ForEachLineRun(~stale, [from, to](std::size_t off, std::size_t len) {
+    std::memcpy(to + off, from + off, len);
+  });
   machine_.Charge(sim::CostCat::kCopy, machine_.cost().page_copy_ns);
   ++machine_.stats().pages_copied;
 }
 
 void PhysMem::ZeroPage(Page* p) {
-  std::memset(&bytes_[p->pfn * sim::kPageSize], 0, sim::kPageSize);
+  stale_[p->pfn] = ~std::uint64_t{0};
   machine_.Charge(sim::CostCat::kCopy, machine_.cost().page_zero_ns);
   ++machine_.stats().pages_zeroed;
 }

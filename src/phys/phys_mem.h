@@ -1,10 +1,14 @@
-// Simulated physical memory: a fixed array of page frames with real byte
+// Simulated physical memory: a fixed array of page frames with byte
 // contents, a free list, and the active/inactive paging queues shared by
-// both VM systems' pagedaemons.
+// both VM systems' pagedaemons. Frame contents are exact but lazily
+// zeroed: a zero-filled frame is marked stale one 64-byte line at a time
+// and its bytes are cleared only when a reader or writer reaches them
+// (DESIGN.md §9).
 #ifndef SRC_PHYS_PHYS_MEM_H_
 #define SRC_PHYS_PHYS_MEM_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <span>
 #include <utility>
@@ -16,6 +20,7 @@
 #include "src/sim/pressure.h"
 #include "src/sim/rng.h"
 #include "src/sim/types.h"
+#include "src/sim/zeroed_bytes.h"
 
 namespace phys {
 
@@ -88,8 +93,8 @@ class PhysMem {
   // Allocate a frame for `owner`; returns nullptr when no free frame exists
   // or (for normal-priority requests) the free list is down to the
   // emergency reserve — the caller must reclaim memory and retry. If
-  // `zero` is set the frame contents are cleared and the zero cost is
-  // charged.
+  // `zero` is set the frame reads as zeros and the zero cost is charged;
+  // otherwise it holds stale bytes the caller must overwrite in full.
   Page* AllocPage(OwnerKind kind, void* owner, sim::ObjOffset offset, bool zero,
                   AllocPri pri = AllocPri::kNormal);
 
@@ -124,11 +129,17 @@ class PhysMem {
   bool FrameIsCurrent(const sim::LockToken& token, const Page* p,
                       std::uint32_t gen) const;
 
-  // Contents access.
+  // Contents access. Both clear the stale lines they expose first, so a
+  // caller always sees the frame's logical bytes. Data is the whole page
+  // (page I/O, fills); Bytes is the `len`-byte window at `off`, which
+  // clears only the lines the window covers.
   std::span<std::byte, sim::kPageSize> Data(Page* p);
-  std::span<const std::byte, sim::kPageSize> Data(const Page* p) const;
+  std::span<std::byte> Bytes(Page* p, std::size_t off, std::size_t len);
 
   // Copy / zero helpers that charge the cost model and maintain stats.
+  // ZeroPage marks every line stale and touches no frame byte; CopyPage
+  // copies only the source's non-stale lines and hands the destination the
+  // source's stale mask.
   void CopyPage(const Page* src, Page* dst);
   void ZeroPage(Page* p);
 
@@ -187,6 +198,11 @@ class PhysMem {
   void AbsorbBalloon();   // free list -> balloon, up to target/floor
   void ReleaseBalloon();  // balloon -> free list, down to target
 
+  std::byte* Frame(const Page* p) { return bytes_.get() + p->pfn * sim::kPageSize; }
+  // Clear the backing bytes of the stale lines of `p` selected by `lines`
+  // and mark them live.
+  void Materialize(const Page* p, std::uint64_t lines);
+
   sim::Machine& machine_;
   // Guards the free list, the paging queues, wire counts, the balloon, and
   // frame generations. Zero acquire cost: the paper's model charges lock
@@ -194,7 +210,11 @@ class PhysMem {
   // every bench byte (DESIGN.md §15).
   sim::SimLock queue_lock_;
   std::vector<Page> pages_;
-  std::vector<std::byte> bytes_;
+  sim::ZeroedBytes bytes_;
+  // Per-frame stale-line mask, indexed by pfn: bit i set means 64-byte
+  // line i is logically zero but its backing bytes were never
+  // cleared. It stays with the pfn, so loans and transfers carry it.
+  std::vector<std::uint64_t> stale_;
   PageList free_;
   PageList active_;
   PageList inactive_;

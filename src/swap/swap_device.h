@@ -22,6 +22,7 @@
 #include "src/sim/lock.h"
 #include "src/sim/machine.h"
 #include "src/sim/types.h"
+#include "src/sim/zeroed_bytes.h"
 #include "src/vfs/disk.h"
 
 namespace swp {
@@ -35,7 +36,7 @@ class SwapDevice {
         slot_lock_(machine, "swap.slots", sim::LockRank::kSwap),
         used_(num_slots, false),
         bad_(num_slots, false),
-        bytes_(num_slots * sim::kPageSize) {
+        bytes_(sim::AllocZeroedBytes(num_slots * sim::kPageSize)) {
     machine.pressure().RegisterActuator(
         sim::PressureResource::kSwapSlots,
         [this](const sim::PressureEvent& ev) { ApplyPressure(ev); });
@@ -102,7 +103,7 @@ class SwapDevice {
 
  private:
   std::byte* SlotData(std::int32_t slot) {
-    return &bytes_[static_cast<std::size_t>(slot) * sim::kPageSize];
+    return bytes_.get() + static_cast<std::size_t>(slot) * sim::kPageSize;
   }
   // Scan [from, to) for `want` contiguous free slots; claims and returns the
   // first slot of the run, or kNoSlot.
@@ -122,7 +123,7 @@ class SwapDevice {
   sim::SimLock slot_lock_;
   std::vector<bool> used_;
   std::vector<bool> bad_;
-  std::vector<std::byte> bytes_;
+  sim::ZeroedBytes bytes_;
   std::size_t used_count_ = 0;
   std::size_t bad_count_ = 0;
   std::size_t next_hint_ = 0;
