@@ -413,12 +413,7 @@ int BsdVm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs
   // --- Step 1: vm_map_find() establishes the mapping with DEFAULT
   // attributes (read-write protection, copy inheritance, normal advice).
   map.Lock();
-  if (attrs.fixed) {
-    if (!map.RangeFree(*addr, len)) {
-      map.Unlock();
-      return sim::kErrExist;
-    }
-  } else if (int err = map.FindSpace(addr, len); err != sim::kOk) {
+  if (int err = map.Place(addr, len, attrs.fixed); err != sim::kOk) {
     map.Unlock();
     return err;
   }
@@ -492,12 +487,7 @@ int BsdVm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem&
   std::uint64_t len = dev.pages.size() * sim::kPageSize;
   VmMap& map = as.map_;
   map.Lock();
-  if (attrs.fixed) {
-    if (!map.RangeFree(*addr, len)) {
-      map.Unlock();
-      return sim::kErrExist;
-    }
-  } else if (int err = map.FindSpace(addr, len); err != sim::kOk) {
+  if (int err = map.Place(addr, len, attrs.fixed); err != sim::kOk) {
     map.Unlock();
     return err;
   }
@@ -525,61 +515,10 @@ int BsdVm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem&
   return sim::kOk;
 }
 
-VmMap::iterator BsdVm::ClipStartRef(VmMap& map, VmMap::iterator it, sim::Vaddr va) {
-  auto res = map.ClipStart(it, va);
-  if (res->object != nullptr) {
-    RefObject(res->object);
+void BsdVm::DupRefs::operator()(MapEntry& e) const {
+  if (e.object != nullptr) {
+    vm->RefObject(e.object);
   }
-  return res;
-}
-
-void BsdVm::ClipEndRef(VmMap& map, VmMap::iterator it, sim::Vaddr va) {
-  map.ClipEnd(it, va);
-  if (it->object != nullptr) {
-    RefObject(it->object);
-  }
-}
-
-int BsdVm::UnmapRangeLocked(BsdAddressSpace& as, sim::Vaddr start, sim::Vaddr end,
-                            std::vector<VmObject*>* drop) {
-  VmMap& map = as.map_;
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, start, end); err != sim::kOk) {
-    return err;
-  }
-  auto it = map.entries().begin();
-  while (it != map.entries().end()) {
-    if (it->end <= start) {
-      ++it;
-      continue;
-    }
-    if (it->start >= end) {
-      break;
-    }
-    if (it->start < start) {
-      it = ClipStartRef(map, it, start);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    // Entry now fully inside [start, end).
-    if (it->wired_count > 0) {
-      for (sim::Vaddr va = it->start; va < it->end; va += sim::kPageSize) {
-        auto pte = as.pmap_.Extract(va);
-        if (pte.has_value() && pte->wired) {
-          pm_.Unwire(pm_.PageAt(pte->pfn));
-          as.pmap_.ChangeWiring(va, false);
-        }
-      }
-    }
-    as.pmap_.RemoveRange(it->start, it->end);
-    if (it->object != nullptr) {
-      drop->push_back(it->object);
-    }
-    auto victim = it++;
-    map.EraseEntry(victim);
-  }
-  return sim::kOk;
 }
 
 int BsdVm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
@@ -591,7 +530,18 @@ int BsdVm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   // BSD VM holds the map lock across the whole operation, including the
   // object dereferences that can trigger lengthy I/O (§3.1).
   map.Lock();
-  int err = UnmapRangeLocked(as, addr, addr + len, &drop);
+  auto first = [&] { return map.Seek(addr); };
+  int err = map.WalkRangeLocked(addr, addr + len, first, DupRefs{this}, [&](VmMap::iterator it) {
+    if (it->wired_count > 0) {
+      as.pmap_.UnwireRange(it->start, it->end);
+    }
+    as.pmap_.RemoveRange(it->start, it->end);
+    if (it->object != nullptr) {
+      drop.push_back(it->object);
+    }
+    map.EraseEntry(it);
+    return sim::kOk;
+  });
   for (VmObject* obj : drop) {
     DerefObject(obj);
   }
@@ -602,87 +552,35 @@ int BsdVm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
 int BsdVm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "bsd_protect");
   auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (!sim::ProtIncludes(it->max_prot, prot)) {
-      map.Unlock();
-      return sim::kErrProt;
-    }
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->prot = prot;
-    as.pmap_.IntersectProtRange(it->start, it->end, prot);
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
+                           [&](VmMap::iterator it) {
+                             if (!sim::ProtIncludes(it->max_prot, prot)) {
+                               return sim::kErrProt;
+                             }
+                             it->prot = prot;
+                             as.pmap_.IntersectProtRange(it->start, it->end, prot);
+                             return sim::kOk;
+                           });
 }
 
 int BsdVm::SetInherit(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
                       sim::Inherit inherit) {
   auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->inherit = inherit;
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
+                           [&](VmMap::iterator it) {
+                             it->inherit = inherit;
+                             return sim::kOk;
+                           });
 }
 
 int BsdVm::SetAdvice(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
                      sim::Advice advice) {
   auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->advice = advice;
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
+                           [&](VmMap::iterator it) {
+                             it->advice = advice;
+                             return sim::kOk;
+                           });
 }
 
 int BsdVm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
@@ -795,102 +693,59 @@ int BsdVm::Mincore(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
 // ---------------------------------------------------------------------------
 // Wiring (§3.2): everything goes through the map, fragmenting entries.
 
-int BsdVm::WireRange(BsdAddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
+int BsdVm::Wire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
+  auto& as = static_cast<BsdAddressSpace&>(as_);
   sim::Vaddr end = sim::PageRound(addr + len);
   addr = sim::PageTrunc(addr);
   VmMap& map = as.map_;
   map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  if (it == map.entries().end()) {
-    map.Unlock();
-    return sim::kErrFault;
-  }
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
+  // Unlike the other range ops, a range whose start is unmapped fails
+  // (EFAULT) before anything changes.
+  bool mapped = false;
+  auto first = [&] {
+    VmMap::iterator it = map.LookupEntry(addr);
+    mapped = it != map.entries().end();
+    return it;
+  };
+  int err = map.WalkRangeLocked(addr, end, first, DupRefs{this}, [&](VmMap::iterator it) {
+    if (++it->wired_count > 1) {
+      return sim::kOk;
     }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    ++it->wired_count;
-    if (it->wired_count == 1) {
-      sim::Vaddr estart = it->start;
-      sim::Vaddr eend = it->end;
-      sim::Access acc = sim::CanWrite(it->prot) ? sim::Access::kWrite : sim::Access::kRead;
-      for (sim::Vaddr va = estart; va < eend; va += sim::kPageSize) {
-        auto pte = as.pmap_.Extract(va);
-        if (!pte.has_value()) {
-          // The entry is already marked wired, so the fault wires the page.
-          int err = FaultWithMapLocked(as, va, acc);
-          if (err != sim::kOk) {
-            map.Unlock();
-            return err;
-          }
-          pte = as.pmap_.Extract(va);
-          SIM_ASSERT(pte.has_value() && pte->wired);
-        } else if (!pte->wired) {
-          pm_.Wire(pm_.PageAt(pte->pfn));
-          as.pmap_.ChangeWiring(va, true);
+    sim::Vaddr estart = it->start;
+    sim::Access acc = sim::CanWrite(it->prot) ? sim::Access::kWrite : sim::Access::kRead;
+    for (sim::Vaddr va = estart; va < it->end; va += sim::kPageSize) {
+      auto pte = as.pmap_.Extract(va);
+      if (!pte.has_value()) {
+        // The entry is already marked wired, so the fault wires the page.
+        if (int ferr = FaultWithMapLocked(as, va, acc); ferr != sim::kOk) {
+          return ferr;
         }
+        pte = as.pmap_.Extract(va);
+        SIM_ASSERT(pte.has_value() && pte->wired);
+      } else if (!pte->wired) {
+        pm_.Wire(pm_.PageAt(pte->pfn));
+        as.pmap_.ChangeWiring(va, true);
       }
-      // Faulting may invalidate iterators (clips by nested ops do not occur
-      // here, but be conservative): re-find our entry.
-      it = map.LookupEntry(estart);
-      SIM_ASSERT(it != map.entries().end());
     }
-    ++it;
-  }
+    // Re-find the entry after faulting (charged): a fault may sleep, and a
+    // real map can change underneath it.
+    VmMap::iterator again = map.LookupEntry(estart);
+    SIM_ASSERT(again == it);
+    return sim::kOk;
+  });
   map.Unlock();
-  return sim::kOk;
+  return err == sim::kOk && !mapped ? sim::kErrFault : err;
 }
 
-int BsdVm::UnwireRange(BsdAddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
+int BsdVm::Unwire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
+  auto& as = static_cast<BsdAddressSpace&>(as_);
   sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  VmMap& map = as.map_;
-  map.Lock();
-  VmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
+  return as.map_.WalkRange(sim::PageTrunc(addr), end, DupRefs{this}, [&](VmMap::iterator it) {
+    if (it->wired_count > 0 && --it->wired_count == 0) {
+      as.pmap_.UnwireRange(it->start, it->end);
     }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    if (it->wired_count > 0) {
-      --it->wired_count;
-      if (it->wired_count == 0) {
-        for (sim::Vaddr va = it->start; va < it->end; va += sim::kPageSize) {
-          auto pte = as.pmap_.Extract(va);
-          if (pte.has_value() && pte->wired) {
-            pm_.Unwire(pm_.PageAt(pte->pfn));
-            as.pmap_.ChangeWiring(va, false);
-          }
-        }
-      }
-    }
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
-}
-
-int BsdVm::Wire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  return WireRange(static_cast<BsdAddressSpace&>(as), addr, len);
-}
-
-int BsdVm::Unwire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  return UnwireRange(static_cast<BsdAddressSpace&>(as), addr, len);
+    return sim::kOk;
+  });
 }
 
 int BsdVm::WireTransient(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
@@ -899,11 +754,11 @@ int BsdVm::WireTransient(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t 
   // fragmenting the entries (§3.2).
   out->va = addr;
   out->len = len;
-  return WireRange(static_cast<BsdAddressSpace&>(as), addr, len);
+  return Wire(as, addr, len);
 }
 
 void BsdVm::UnwireTransient(kern::AddressSpace& as, kern::TransientWiring& tw) {
-  UnwireRange(static_cast<BsdAddressSpace&>(as), tw.va, tw.len);
+  Unwire(as, tw.va, tw.len);
 }
 
 int BsdVm::AllocProcResources(kern::ProcKernelResources* out) {

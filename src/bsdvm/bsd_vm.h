@@ -158,16 +158,12 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
   int FaultWithMapLocked(BsdAddressSpace& as, sim::Vaddr va, sim::Access access);
   int FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access);
 
-  // Wiring guts shared by Wire()/WireTransient().
-  int WireRange(BsdAddressSpace& as, sim::Vaddr addr, std::uint64_t len);
-  int UnwireRange(BsdAddressSpace& as, sim::Vaddr addr, std::uint64_t len);
-
-  // Clip helpers that maintain object reference counts.
-  VmMap::iterator ClipStartRef(VmMap& map, VmMap::iterator it, sim::Vaddr va);
-  void ClipEndRef(VmMap& map, VmMap::iterator it, sim::Vaddr va);
-
-  int UnmapRangeLocked(BsdAddressSpace& as, sim::Vaddr start, sim::Vaddr end,
-                       std::vector<VmObject*>* drop);
+  // The range walker's split hook (sim::AddrMap::WalkRange): both halves
+  // of a clipped entry share its object, so each split takes a reference.
+  struct DupRefs {
+    BsdVm* vm;
+    void operator()(MapEntry& e) const;
+  };
 
   sim::Machine& machine_;
   phys::PhysMem& pm_;

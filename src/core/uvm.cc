@@ -247,12 +247,7 @@ int Uvm::Map(kern::AddressSpace& as_, sim::Vaddr* addr, std::uint64_t len, vfs::
   }
   UvmMap& map = as.map_;
   map.Lock();
-  if (attrs.fixed) {
-    if (!map.RangeFree(*addr, len)) {
-      map.Unlock();
-      return sim::kErrExist;
-    }
-  } else if (int err = map.FindSpace(addr, len); err != sim::kOk) {
+  if (int err = map.Place(addr, len, attrs.fixed); err != sim::kOk) {
     map.Unlock();
     return err;
   }
@@ -311,12 +306,7 @@ int Uvm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem& d
   std::uint64_t len = dev.pages.size() * sim::kPageSize;
   UvmMap& map = as.map_;
   map.Lock();
-  if (attrs.fixed) {
-    if (!map.RangeFree(*addr, len)) {
-      map.Unlock();
-      return sim::kErrExist;
-    }
-  } else if (int err = map.FindSpace(addr, len); err != sim::kOk) {
+  if (int err = map.Place(addr, len, attrs.fixed); err != sim::kOk) {
     map.Unlock();
     return err;
   }
@@ -338,24 +328,12 @@ int Uvm::MapDevice(kern::AddressSpace& as_, sim::Vaddr* addr, kern::DeviceMem& d
   return sim::kOk;
 }
 
-UvmMap::iterator Uvm::ClipStartRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va) {
-  auto res = map.ClipStart(it, va);
-  if (res->uobj != nullptr) {
-    res->uobj->pgops->Reference(*this, *res->uobj);
+void Uvm::DupRefs::operator()(UvmMapEntry& e) const {
+  if (e.uobj != nullptr) {
+    e.uobj->pgops->Reference(*vm, *e.uobj);
   }
-  if (res->amap != nullptr) {
-    RefAmap(res->amap);
-  }
-  return res;
-}
-
-void Uvm::ClipEndRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va) {
-  map.ClipEnd(it, va);
-  if (it->uobj != nullptr) {
-    it->uobj->pgops->Reference(*this, *it->uobj);
-  }
-  if (it->amap != nullptr) {
-    RefAmap(it->amap);
+  if (e.amap != nullptr) {
+    vm->RefAmap(e.amap);
   }
 }
 
@@ -370,6 +348,32 @@ void Uvm::DropEntryRefs(UvmMapEntry& e) {
   }
 }
 
+void Uvm::AmapUnadd(UvmAddressSpace& as, UvmMap::iterator it, sim::Vaddr start,
+                    sim::Vaddr end) {
+  if (it == as.map_.entries().end() || it->start >= end ||
+      (it->start >= start && it->end <= end)) {
+    return;  // no entry, or not one the range only partly covers
+  }
+  if (it->amap == nullptr || it->amap->ref_count != 1 || it->amap->shared) {
+    return;
+  }
+  sim::Vaddr lo = std::max(it->start, start);
+  sim::Vaddr hi = std::min(it->end, end);
+  for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
+    std::uint64_t slot = it->SlotOf(va);
+    Anon* a = it->amap->Get(slot);
+    if (a != nullptr) {
+      it->amap->Set(slot, nullptr);
+      auto pte = as.pmap_.Extract(va);
+      if (pte.has_value() && pte->wired) {
+        pm_.Unwire(pm_.PageAt(pte->pfn));
+      }
+      as.pmap_.Remove(va);
+      DerefAnon(a);
+    }
+  }
+}
+
 int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "uvm_unmap");
   auto& as = static_cast<UvmAddressSpace&>(as_);
@@ -380,62 +384,25 @@ int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   // Phase 1 (map locked): detach the entries from the map and the pmap.
   std::vector<UvmMapEntry> removed;
   map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.entries().begin();
-  while (it != map.entries().end()) {
-    if (it->end <= addr) {
-      ++it;
-      continue;
+  auto first = [&] {
+    // amap_unadd on the (at most two) boundary entries, before any clip
+    // bumps their amap's reference count.
+    UvmMap::iterator it = map.Seek(addr);
+    AmapUnadd(as, it, addr, end);
+    if (it != map.entries().end() && it->end < end) {
+      AmapUnadd(as, map.Seek(end - 1), addr, end);
     }
-    if (it->start >= end) {
-      break;
-    }
-    // amap_unadd: when this entry holds the only reference to its amap, the
-    // anons of the removed subrange are freed immediately rather than
-    // lingering until every clipped sibling dies. (BSD VM cannot do this —
-    // pages of a partially unmapped object stay until the object dies.)
-    bool partial = it->start < addr || it->end > end;
-    if (partial && it->amap != nullptr && it->amap->ref_count == 1 && !it->amap->shared) {
-      sim::Vaddr lo = std::max(it->start, addr);
-      sim::Vaddr hi = std::min(it->end, end);
-      for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
-        std::uint64_t slot = it->SlotOf(va);
-        Anon* a = it->amap->Get(slot);
-        if (a != nullptr) {
-          it->amap->Set(slot, nullptr);
-          auto pte = as.pmap_.Extract(va);
-          if (pte.has_value() && pte->wired) {
-            pm_.Unwire(pm_.PageAt(pte->pfn));
-          }
-          as.pmap_.Remove(va);
-          DerefAnon(a);
-        }
-      }
-    }
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
+    return it;
+  };
+  int err = map.WalkRangeLocked(addr, end, first, DupRefs{this}, [&](UvmMap::iterator it) {
     if (it->wired_count > 0) {
-      for (sim::Vaddr va = it->start; va < it->end; va += sim::kPageSize) {
-        auto pte = as.pmap_.Extract(va);
-        if (pte.has_value() && pte->wired) {
-          pm_.Unwire(pm_.PageAt(pte->pfn));
-          as.pmap_.ChangeWiring(va, false);
-        }
-      }
+      as.pmap_.UnwireRange(it->start, it->end);
     }
     as.pmap_.RemoveRange(it->start, it->end);
     removed.push_back(*it);
-    auto victim = it++;
-    map.EraseEntry(victim);
-  }
+    map.EraseEntry(it);
+    return sim::kOk;
+  });
   map.Unlock();
 
   // Phase 2 (map unlocked): drop the object and amap references; this is
@@ -443,92 +410,40 @@ int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   for (UvmMapEntry& e : removed) {
     DropEntryRefs(e);
   }
-  return sim::kOk;
+  return err;
 }
 
 int Uvm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
   auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (!sim::ProtIncludes(it->max_prot, prot)) {
-      map.Unlock();
-      return sim::kErrProt;
-    }
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->prot = prot;
-    as.pmap_.IntersectProtRange(it->start, it->end, prot);
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
+                           [&](UvmMap::iterator it) {
+                             if (!sim::ProtIncludes(it->max_prot, prot)) {
+                               return sim::kErrProt;
+                             }
+                             it->prot = prot;
+                             as.pmap_.IntersectProtRange(it->start, it->end, prot);
+                             return sim::kOk;
+                           });
 }
 
 int Uvm::SetInherit(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
                     sim::Inherit inherit) {
   auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->inherit = inherit;
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
+                           [&](UvmMap::iterator it) {
+                             it->inherit = inherit;
+                             return sim::kOk;
+                           });
 }
 
 int Uvm::SetAdvice(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
                    sim::Advice advice) {
   auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  sim::Vaddr end = addr + len;
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    it->advice = advice;
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
+  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
+                           [&](UvmMap::iterator it) {
+                             it->advice = advice;
+                             return sim::kOk;
+                           });
 }
 
 int Uvm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
@@ -646,101 +561,60 @@ int Uvm::Mincore(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
 // ---------------------------------------------------------------------------
 // Wiring (§3.2)
 
-int Uvm::WireRange(UvmAddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  if (it == map.entries().end()) {
-    map.Unlock();
-    return sim::kErrFault;
-  }
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    ++it->wired_count;
-    if (it->wired_count == 1) {
-      sim::Vaddr estart = it->start;
-      sim::Vaddr eend = it->end;
-      sim::Access acc = sim::CanWrite(it->prot) ? sim::Access::kWrite : sim::Access::kRead;
-      for (sim::Vaddr va = estart; va < eend; va += sim::kPageSize) {
-        auto pte = as.pmap_.Extract(va);
-        if (!pte.has_value()) {
-          // The entry is already marked wired, so the fault wires the page.
-          int err = FaultWithMapLocked(as, va, acc);
-          if (err != sim::kOk) {
-            map.Unlock();
-            return err;
-          }
-          pte = as.pmap_.Extract(va);
-          SIM_ASSERT(pte.has_value() && pte->wired);
-        } else if (!pte->wired) {
-          pm_.Wire(pm_.PageAt(pte->pfn));
-          as.pmap_.ChangeWiring(va, true);
-        }
-      }
-      it = map.LookupEntry(estart);
-      SIM_ASSERT(it != map.entries().end());
-    }
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
-}
-
-int Uvm::UnwireRange(UvmAddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  UvmMap& map = as.map_;
-  map.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(map, addr, end); err != sim::kOk) {
-    map.Unlock();
-    return err;
-  }
-  auto it = map.LookupEntry(addr);
-  while (it != map.entries().end() && it->start < end) {
-    if (it->start < addr) {
-      it = ClipStartRef(map, it, addr);
-    }
-    if (it->end > end) {
-      ClipEndRef(map, it, end);
-    }
-    if (it->wired_count > 0) {
-      --it->wired_count;
-      if (it->wired_count == 0) {
-        for (sim::Vaddr va = it->start; va < it->end; va += sim::kPageSize) {
-          auto pte = as.pmap_.Extract(va);
-          if (pte.has_value() && pte->wired) {
-            pm_.Unwire(pm_.PageAt(pte->pfn));
-            as.pmap_.ChangeWiring(va, false);
-          }
-        }
-      }
-    }
-    ++it;
-  }
-  map.Unlock();
-  return sim::kOk;
-}
-
-int Uvm::Wire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
+int Uvm::Wire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   // mlock(2): the one wiring case that must live in the map (§3.2).
-  return WireRange(static_cast<UvmAddressSpace&>(as), addr, len);
+  auto& as = static_cast<UvmAddressSpace&>(as_);
+  sim::Vaddr end = sim::PageRound(addr + len);
+  addr = sim::PageTrunc(addr);
+  UvmMap& map = as.map_;
+  map.Lock();
+  // Unlike the other range ops, a range whose start is unmapped fails
+  // (EFAULT) before anything changes.
+  bool mapped = false;
+  auto first = [&] {
+    UvmMap::iterator it = map.LookupEntry(addr);
+    mapped = it != map.entries().end();
+    return it;
+  };
+  int err = map.WalkRangeLocked(addr, end, first, DupRefs{this}, [&](UvmMap::iterator it) {
+    if (++it->wired_count > 1) {
+      return sim::kOk;
+    }
+    sim::Vaddr estart = it->start;
+    sim::Access acc = sim::CanWrite(it->prot) ? sim::Access::kWrite : sim::Access::kRead;
+    for (sim::Vaddr va = estart; va < it->end; va += sim::kPageSize) {
+      auto pte = as.pmap_.Extract(va);
+      if (!pte.has_value()) {
+        // The entry is already marked wired, so the fault wires the page.
+        if (int ferr = FaultWithMapLocked(as, va, acc); ferr != sim::kOk) {
+          return ferr;
+        }
+        pte = as.pmap_.Extract(va);
+        SIM_ASSERT(pte.has_value() && pte->wired);
+      } else if (!pte->wired) {
+        pm_.Wire(pm_.PageAt(pte->pfn));
+        as.pmap_.ChangeWiring(va, true);
+      }
+    }
+    // Re-find the entry after faulting (charged): a fault may sleep, and a
+    // real map can change underneath it.
+    UvmMap::iterator again = map.LookupEntry(estart);
+    SIM_ASSERT(again == it);
+    return sim::kOk;
+  });
+  map.Unlock();
+  return err == sim::kOk && !mapped ? sim::kErrFault : err;
 }
 
-int Uvm::Unwire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) {
-  return UnwireRange(static_cast<UvmAddressSpace&>(as), addr, len);
+int Uvm::Unwire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
+  auto& as = static_cast<UvmAddressSpace&>(as_);
+  sim::Vaddr end = sim::PageRound(addr + len);
+  return as.map_.WalkRange(sim::PageTrunc(addr), end, DupRefs{this}, [&](UvmMap::iterator it) {
+    if (it->wired_count > 0 && --it->wired_count == 0) {
+      as.pmap_.UnwireRange(it->start, it->end);
+    }
+    return sim::kOk;
+  });
 }
 
 int Uvm::WireTransient(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
@@ -1716,11 +1590,6 @@ int Uvm::Extract(kern::AddressSpace& src_, sim::Vaddr src_va, std::uint64_t len,
   UvmMap& smap = src.map_;
   UvmMap& dmap = dst.map_;
   smap.Lock();
-  UvmMap::ClipReservation clipres;
-  if (int err = clipres.Acquire(smap, src_va, src_end); err != sim::kOk) {
-    smap.Unlock();
-    return err;
-  }
   // Verify the whole source range is mapped before touching anything.
   for (sim::Vaddr va = src_va; va < src_end;) {
     auto it = smap.LookupEntry(va);
@@ -1737,18 +1606,11 @@ int Uvm::Extract(kern::AddressSpace& src_, sim::Vaddr src_va, std::uint64_t len,
     return err;
   }
 
-  auto it = smap.LookupEntry(src_va);
-  while (it != smap.entries().end() && it->start < src_end) {
-    if (it->start < src_va) {
-      it = ClipStartRef(smap, it, src_va);
-    }
-    if (it->end > src_end) {
-      ClipEndRef(smap, it, src_end);
-    }
+  auto first = [&] { return smap.LookupEntry(src_va); };
+  int err = smap.WalkRangeLocked(src_va, src_end, first, DupRefs{this}, [&](UvmMap::iterator it) {
     UvmMapEntry ce = *it;
     ce.wired_count = 0;
-    sim::Vaddr rel = it->start - src_va;
-    ce.start = *dst_va + rel;
+    ce.start = *dst_va + (it->start - src_va);
     ce.end = ce.start + (it->end - it->start);
     switch (mode) {
       case kern::ExtractMode::kShare:
@@ -1768,7 +1630,6 @@ int Uvm::Extract(kern::AddressSpace& src_, sim::Vaddr src_va, std::uint64_t len,
         if (ce.uobj != nullptr) {
           ce.uobj->pgops->Reference(*this, *ce.uobj);
         }
-        ++it;
         break;
       case kern::ExtractMode::kCopy:
         ce.copy_on_write = true;
@@ -1785,9 +1646,8 @@ int Uvm::Extract(kern::AddressSpace& src_, sim::Vaddr src_va, std::uint64_t len,
         if (ce.uobj != nullptr) {
           ce.uobj->pgops->Reference(*this, *ce.uobj);
         }
-        ++it;
         break;
-      case kern::ExtractMode::kMove: {
+      case kern::ExtractMode::kMove:
         // The entry changes address space wholesale; references move with
         // it. Wired pages are unwired on the way out.
         if (it->wired_count > 0) {
@@ -1799,17 +1659,16 @@ int Uvm::Extract(kern::AddressSpace& src_, sim::Vaddr src_va, std::uint64_t len,
           }
         }
         src.pmap_.RemoveRange(it->start, it->end);
-        auto victim = it++;
-        smap.EraseEntry(victim);
+        smap.EraseEntry(it);
         break;
-      }
     }
-    int err = dmap.InsertEntry(ce);
-    SIM_ASSERT(err == sim::kOk);
-  }
+    int ierr = dmap.InsertEntry(ce);
+    SIM_ASSERT(ierr == sim::kOk);
+    return sim::kOk;
+  });
   dmap.Unlock();
   smap.Unlock();
-  return sim::kOk;
+  return err;
 }
 
 // ---------------------------------------------------------------------------

@@ -205,14 +205,21 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
   phys::Page* BreakLoan(phys::Page* old_page, phys::OwnerKind kind, void* owner,
                         sim::ObjOffset offset);
 
-  // --- wiring guts ---
-  int WireRange(UvmAddressSpace& as, sim::Vaddr addr, std::uint64_t len);
-  int UnwireRange(UvmAddressSpace& as, sim::Vaddr addr, std::uint64_t len);
-
-  // --- map helpers (reference-maintaining clips) ---
-  UvmMap::iterator ClipStartRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va);
-  void ClipEndRef(UvmMap& map, UvmMap::iterator it, sim::Vaddr va);
+  // --- map helpers ---
+  // The range walker's split hook (sim::AddrMap::WalkRange): both halves
+  // of a clipped entry share its amap and object, so each split takes one
+  // more reference on each.
+  struct DupRefs {
+    Uvm* vm;
+    void operator()(UvmMapEntry& e) const;
+  };
   void DropEntryRefs(UvmMapEntry& e);
+  // amap_unadd for an unmap of [start, end): when `it` is only partly
+  // covered and holds the only reference to a private amap, free the
+  // covered anons now rather than when the last clipped sibling dies.
+  // (BSD VM cannot do this — pages of a partially unmapped object stay
+  // until the object dies.)
+  void AmapUnadd(UvmAddressSpace& as, UvmMap::iterator it, sim::Vaddr start, sim::Vaddr end);
 
   // --- pageout (§6): the per-owner halves of the shared pagedaemon scan ---
   void ContainPoisoned(phys::Page* p) override;

@@ -350,6 +350,17 @@ void Pmap::ChangeWiring(sim::Vaddr va, bool wired) {
   }
 }
 
+void Pmap::UnwireRange(sim::Vaddr start, sim::Vaddr end) {
+  phys::PhysMem& pm = ctx_.phys();
+  for (sim::Vaddr va = start; va < end; va += sim::kPageSize) {
+    auto pte = Extract(va);
+    if (pte.has_value() && pte->wired) {
+      pm.Unwire(pm.PageAt(pte->pfn));
+      ChangeWiring(va, false);
+    }
+  }
+}
+
 std::optional<Pte> Pmap::Extract(sim::Vaddr va) const {
   sim::LockGuard g(ctx_.pmap_lock_);  // ctx_ is a non-const reference
   ctx_.machine().Charge(sim::CostCat::kPmap, ctx_.machine().cost().pmap_extract_ns);

@@ -145,6 +145,10 @@ class Pmap {
 
   // Change only the wired attribute of an existing mapping.
   void ChangeWiring(sim::Vaddr va, bool wired);
+  // Unwire every wired mapping in [start, end): drop the frame's wire count
+  // and clear the PTE's wired bit. Each page costs one Extract (plus one
+  // ChangeWiring when wired), each taking the pmap lock on its own.
+  void UnwireRange(sim::Vaddr start, sim::Vaddr end);
 
   // Query the translation for `va`.
   std::optional<Pte> Extract(sim::Vaddr va) const;

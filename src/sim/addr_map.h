@@ -47,6 +47,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <list>
 #include <vector>
 
@@ -182,6 +183,87 @@ class AddrMap {
     free_hint_from_ = from;
     free_hint_result_ = at;
     free_hint_len_ = len;
+    return kOk;
+  }
+
+  // Choose where a new [*addr, *addr + len) mapping goes: exactly at *addr
+  // when `fixed` (kErrExist if anything is mapped there), otherwise the
+  // first fit at or above *addr. Charges nothing, like its two halves.
+  int Place(Vaddr* addr, std::uint64_t len, bool fixed) const {
+    if (fixed) {
+      return RangeFree(*addr, len) ? kOk : kErrExist;
+    }
+    return FindSpace(addr, len);
+  }
+
+  // Host-side seek (no charge, no stats): the first entry that ends above
+  // `va` — the entry containing it, or the next one up when `va` is in a
+  // hole; entries().end() if there is none.
+  iterator Seek(Vaddr va) {
+    std::size_t i = UpperBound(va);  // entries with start <= va
+    if (i > 0 && iters_[i - 1]->end > va) {
+      --i;
+    }
+    return i < iters_.size() ? iters_[i] : entries_.end();
+  }
+
+  // ---- Range operations (DESIGN.md §9 "Range operations") ----
+  //
+  // The one clip-and-visit loop behind every range op of both VMs. Each
+  // entry overlapping [start, end) is visited once, in address order. An
+  // entry that straddles `start` or `end` is first split there, and
+  // `dup(entry)` runs after each split: both halves now share the entry's
+  // amap/object, so the VM takes one more reference. `visit(it)` then sees
+  // an entry lying wholly inside the range; it may erase that entry. The
+  // first visit that returns an error stops the walk and that error is
+  // returned. Holes are skipped: a range that starts in a hole begins at
+  // the first entry above `start`. Clip headroom is reserved before
+  // anything changes, so a fixed-pool map refuses up front with
+  // kErrMapEntryPool.
+  //
+  // Locked form: lock, reserve, charge one LookupEntry(start) (a miss
+  // falls back to the uncharged Seek), walk, unlock.
+  template <typename Dup, typename Visit>
+  int WalkRange(Vaddr start, Vaddr end, Dup&& dup, Visit&& visit) {
+    Lock();
+    int err = WalkRangeLocked(
+        start, end,
+        [&] {
+          iterator it = LookupEntry(start);
+          return it != entries_.end() ? it : Seek(start);
+        },
+        dup, visit);
+    Unlock();
+    return err;
+  }
+
+  // Caller-locked form: the caller holds the map lock, and `first()`
+  // yields the first entry to visit (charging whatever the caller's
+  // mechanism charges). It runs only once the reservation is granted, so
+  // it may change what entries hold (UVM's amap_unadd pre-pass), though
+  // not the entry layout the reservation was sized for.
+  template <typename First, typename Dup, typename Visit>
+  int WalkRangeLocked(Vaddr start, Vaddr end, First&& first, Dup&& dup, Visit&& visit) {
+    ClipReservation clipres;
+    if (int err = clipres.Acquire(*this, start, end); err != kOk) {
+      return err;
+    }
+    iterator it = first();
+    while (start < end && it != entries_.end() && it->start < end) {
+      if (it->start < start) {
+        it = ClipStart(it, start);
+        dup(*it);
+      }
+      if (it->end > end) {
+        ClipEnd(it, end);
+        dup(*it);
+      }
+      iterator next = std::next(it);
+      if (int err = visit(it); err != kOk) {
+        return err;
+      }
+      it = next;
+    }
     return kOk;
   }
 

@@ -62,6 +62,12 @@
 //                    gamma multiples (seed ^ kFooStream); a raw Rng(seed)
 //                    silently correlates two components' event sequences,
 //                    breaking independent shrinking — see DESIGN.md §17.
+//  SIM_MAP_CLIP_OK   a raw AddrMap::ClipStart / ClipEnd call or a
+//                    ClipReservation outside src/sim/addr_map.h. Range
+//                    operations clip only through the map-range walker
+//                    (AddrMap::WalkRange), so the clip-and-visit loop, its
+//                    reservation and the split hook exist once — see
+//                    DESIGN.md §9 "Range operations".
 #ifndef SRC_SIM_ANNOTATIONS_H_
 #define SRC_SIM_ANNOTATIONS_H_
 
@@ -94,6 +100,9 @@
   } while (false)
 #define SIM_CHAOS_STREAM_OK(reason) \
   do {                              \
+  } while (false)
+#define SIM_MAP_CLIP_OK(reason) \
+  do {                          \
   } while (false)
 
 // ---------------------------------------------------------------------------

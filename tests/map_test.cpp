@@ -194,6 +194,83 @@ TEST_P(MapTest, EntryCountTracksMappings) {
   EXPECT_EQ(base + 1, p->as->EntryCount());
 }
 
+// A range op whose start lies in a hole still reaches the entries above
+// the hole (NetBSD: a lookup miss continues at entry->next). The hole is
+// the first page of an 8-page mapping, unmapped again.
+TEST_P(MapTest, ProtectStartingInHoleReachesTheEntries) {
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 8 * sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, a, 8 * sim::kPageSize, std::byte{3}));
+  ASSERT_EQ(sim::kOk, w.kernel->Munmap(p, a, sim::kPageSize));
+  ASSERT_EQ(sim::kOk, w.kernel->Mprotect(p, a, 8 * sim::kPageSize, sim::Prot::kRead));
+  EXPECT_EQ(sim::kErrProt, w.kernel->TouchWrite(p, a + 2 * sim::kPageSize, 1, std::byte{4}));
+  EXPECT_EQ(sim::kErrProt, w.kernel->TouchWrite(p, a + 7 * sim::kPageSize, 1, std::byte{4}));
+  std::vector<std::byte> b(1);
+  ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a + 2 * sim::kPageSize, b));
+  EXPECT_EQ(std::byte{3}, b[0]);
+  w.vm->CheckInvariants();
+}
+
+TEST_P(MapTest, MinheritStartingInHoleReachesTheEntries) {
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 8 * sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, a, 8 * sim::kPageSize, std::byte{5}));
+  ASSERT_EQ(sim::kOk, w.kernel->Munmap(p, a, sim::kPageSize));
+  ASSERT_EQ(sim::kOk, w.kernel->Minherit(p, a, 8 * sim::kPageSize, sim::Inherit::kNone));
+  kern::Proc* c = w.kernel->Fork(p);
+  std::vector<std::byte> b(1);
+  EXPECT_EQ(sim::kErrFault, w.kernel->ReadMem(c, a + 2 * sim::kPageSize, b));
+  EXPECT_EQ(sim::kErrFault, w.kernel->ReadMem(c, a + 7 * sim::kPageSize, b));
+  EXPECT_EQ(sim::kOk, w.kernel->ReadMem(p, a + 2 * sim::kPageSize, b));
+  w.kernel->Exit(c);
+  w.vm->CheckInvariants();
+}
+
+TEST_P(MapTest, MadviseStartingInHoleClipsTheEntryAtTheRangeEnd) {
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 8 * sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->Munmap(p, a, sim::kPageSize));
+  std::size_t entries = p->as->EntryCount();
+  std::uint64_t frags = w.machine.stats().map_entry_fragmentations;
+  // [a, a+4 pages) covers the hole and the first 3 pages of the entry: the
+  // advice reaches the entry, which is split at the range end.
+  ASSERT_EQ(sim::kOk, w.kernel->Madvise(p, a, 4 * sim::kPageSize, sim::Advice::kRandom));
+  EXPECT_EQ(entries + 1, p->as->EntryCount());
+  EXPECT_EQ(frags + 1, w.machine.stats().map_entry_fragmentations);
+  w.vm->CheckInvariants();
+}
+
+TEST_P(MapTest, RangeOpsOverAnEntireHoleChangeNothing) {
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 8 * sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->Munmap(p, a + 2 * sim::kPageSize, 4 * sim::kPageSize));
+  std::size_t entries = p->as->EntryCount();
+  sim::Vaddr hole = a + 2 * sim::kPageSize;
+  EXPECT_EQ(sim::kOk, w.kernel->Mprotect(p, hole, 4 * sim::kPageSize, sim::Prot::kRead));
+  EXPECT_EQ(sim::kOk, w.kernel->Minherit(p, hole, 4 * sim::kPageSize, sim::Inherit::kNone));
+  EXPECT_EQ(sim::kOk, w.kernel->Madvise(p, hole, 4 * sim::kPageSize, sim::Advice::kRandom));
+  EXPECT_EQ(sim::kOk, w.kernel->Munlock(p, hole, 4 * sim::kPageSize));
+  EXPECT_EQ(entries, p->as->EntryCount());
+  EXPECT_EQ(sim::kOk, w.kernel->TouchWrite(p, a + sim::kPageSize, 1, std::byte{1}));
+  EXPECT_EQ(sim::kOk, w.kernel->TouchWrite(p, a + 6 * sim::kPageSize, 1, std::byte{1}));
+}
+
+TEST_P(MapTest, ZeroLengthRangeOpsInsideAnEntryAreNoops) {
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 4 * sim::kPageSize, kern::MapAttrs{}));
+  std::size_t entries = p->as->EntryCount();
+  sim::Vaddr mid = a + sim::kPageSize;
+  EXPECT_EQ(sim::kOk, w.kernel->Mprotect(p, mid, 0, sim::Prot::kRead));
+  EXPECT_EQ(sim::kOk, w.kernel->Minherit(p, mid, 0, sim::Inherit::kNone));
+  EXPECT_EQ(sim::kOk, w.kernel->Madvise(p, mid, 0, sim::Advice::kRandom));
+  EXPECT_EQ(sim::kOk, w.kernel->Mlock(p, mid, 0));
+  EXPECT_EQ(sim::kOk, w.kernel->Munlock(p, mid, 0));
+  EXPECT_EQ(sim::kOk, w.kernel->Munmap(p, mid, 0));
+  EXPECT_EQ(entries, p->as->EntryCount());
+  EXPECT_EQ(0u, p->as->pmap().wired_count());
+  EXPECT_EQ(sim::kOk, w.kernel->TouchWrite(p, mid, 1, std::byte{1}));
+}
+
 INSTANTIATE_TEST_SUITE_P(BothVms, MapTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
                          [](const ::testing::TestParamInfo<VmKind>& param_info) {
                            return harness::VmKindName(param_info.param);

@@ -189,6 +189,41 @@ TEST(WiringDivergenceTest, RepeatedSysctlAtSameSpotFragmentsOnce) {
   EXPECT_EQ(after_first, p->as->EntryCount());
 }
 
+// munlock over a range that starts in a hole still unwires the entries
+// above the hole.
+TEST_P(WiringTest, MunlockStartingInHoleUnwiresTheEntries) {
+  World w(GetParam());
+  kern::Proc* p = w.kernel->Spawn();
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 8 * sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->Munmap(p, a, sim::kPageSize));
+  ASSERT_EQ(sim::kOk, w.kernel->Mlock(p, a + sim::kPageSize, 7 * sim::kPageSize));
+  ASSERT_EQ(7u, p->as->pmap().wired_count());
+  ASSERT_EQ(sim::kOk, w.kernel->Munlock(p, a, 8 * sim::kPageSize));
+  for (int i = 1; i < 8; ++i) {
+    auto pte = p->as->pmap().Extract(a + i * sim::kPageSize);
+    ASSERT_TRUE(pte.has_value());
+    EXPECT_FALSE(pte->wired);
+    EXPECT_EQ(0, w.pm.PageAt(pte->pfn)->wire_count);
+  }
+  EXPECT_EQ(0u, p->as->pmap().wired_count());
+  w.vm->CheckInvariants();
+}
+
+// mlock keeps failing for a range that starts in a hole, and the failure
+// changes nothing: no page is wired and no entry is split.
+TEST_P(WiringTest, MlockStartingInHoleFailsWithoutSideEffects) {
+  World w(GetParam());
+  kern::Proc* p = w.kernel->Spawn();
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 8 * sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->Munmap(p, a, sim::kPageSize));
+  std::size_t entries = p->as->EntryCount();
+  EXPECT_EQ(sim::kErrFault, w.kernel->Mlock(p, a, 4 * sim::kPageSize));
+  EXPECT_EQ(entries, p->as->EntryCount());
+  EXPECT_EQ(0u, p->as->pmap().wired_count());
+}
+
 INSTANTIATE_TEST_SUITE_P(BothVms, WiringTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
                          [](const ::testing::TestParamInfo<VmKind>& param_info) {
                            return harness::VmKindName(param_info.param);

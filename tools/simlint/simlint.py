@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """simlint — static-analysis gate for the UVM simulator's reproducibility invariants.
 
-Five rule families (see DESIGN.md §10, §12–§15):
+Rule families (see DESIGN.md §9, §10, §12–§17):
 
   determinism      det-unordered-iter   iteration over std::unordered_* in
                                         observable (src/) code
@@ -49,6 +49,13 @@ Five rule families (see DESIGN.md §10, §12–§15):
                                         every switch is paired with its
                                         restore at an operation boundary
                                         (DESIGN.md §16)
+  range ops        map-raw-clip         a ClipStart( / ClipEnd( call or a
+                                        ClipReservation outside
+                                        src/sim/addr_map.h: range operations
+                                        clip only through the map-range
+                                        walker (AddrMap::WalkRange), so the
+                                        clip-and-visit loop exists once
+                                        (DESIGN.md §9 "Range operations")
 
 Engine: libclang (python bindings) refines the unordered-iteration rule when
 available; everything else — and everything, when libclang is absent — runs
@@ -56,7 +63,7 @@ on a comment/string-stripped token scanner. Both engines honour the escape
 hatches from src/sim/annotations.h (SIM_ORDERED_OK, SIM_HOST_TIME_OK,
 SIM_NO_CHARGE_OK, SIM_POOL_FATAL_OK, SIM_POOL_ALLOC_OK,
 SIM_POISON_WRITE_OK, SIM_LOCK_CHARGE_OK, SIM_LOCK_BALANCE_OK,
-SIM_SCHED_SWITCH_OK): a finding
+SIM_SCHED_SWITCH_OK, SIM_MAP_CLIP_OK): a finding
 is suppressed when the matching token appears on the flagged line or the
 two lines above it (SIM_NO_CHARGE_OK anywhere in the flagged function
 body).
@@ -125,6 +132,7 @@ ANNOTATIONS = (
     "SIM_LOCK_CHARGE_OK",
     "SIM_LOCK_BALANCE_OK",
     "SIM_SCHED_SWITCH_OK",
+    "SIM_MAP_CLIP_OK",
 )
 RULE_ANNOTATION = {
     "det-unordered-iter": "SIM_ORDERED_OK",
@@ -138,6 +146,7 @@ RULE_ANNOTATION = {
     "unbalanced-lock-scope": "SIM_LOCK_BALANCE_OK",
     "scheduler-raw-switch": "SIM_SCHED_SWITCH_OK",
     "chaos-undecorrelated-stream": "SIM_CHAOS_STREAM_OK",
+    "map-raw-clip": "SIM_MAP_CLIP_OK",
 }
 
 # The one module allowed to flip Page::poisoned directly: the injection /
@@ -862,6 +871,42 @@ def rule_scheduler_raw_switch(repo: Repo) -> list:
     return findings
 
 
+# The raw clip primitives and the clip reservation. Only the range walker
+# in src/sim/addr_map.h may use them; `\b...\s*\(` keeps longer names such
+# as a ClipStartRef( helper from matching ClipStart(.
+MAP_RAW_CLIP_RE = re.compile(r"\b(?:ClipStart|ClipEnd)\s*\(|\bClipReservation\b")
+MAP_RAW_CLIP_HOME = "src/sim/addr_map.h"
+
+
+def rule_map_raw_clip(repo: Repo) -> list:
+    """A hand-written clip in src/ outside the map-range walker. Every range
+    operation clips through AddrMap::WalkRange / WalkRangeLocked, which
+    reserves clip headroom, clips both boundaries and runs the VM's split
+    hook; a second copy of that loop drifts out of step with it. Annotate
+    SIM_MAP_CLIP_OK(reason) for a deliberate exception."""
+    findings = []
+    for rel, sf in sorted(repo.files.items()):
+        norm = rel.replace(os.sep, "/")
+        if not norm.startswith("src/") or norm == MAP_RAW_CLIP_HOME:
+            continue
+        for m in MAP_RAW_CLIP_RE.finditer(sf.stripped):
+            findings.append(
+                Finding(
+                    rule="map-raw-clip",
+                    path=rel,
+                    line=line_of(sf.stripped, m.start()),
+                    message=(
+                        "raw map clip outside src/sim/addr_map.h: run range operations "
+                        "through AddrMap::WalkRange / WalkRangeLocked so clipping, the "
+                        "clip reservation and the split hook exist once (DESIGN.md §9 "
+                        "\"Range operations\"); annotate SIM_MAP_CLIP_OK(reason) for a "
+                        "deliberate exception"
+                    ),
+                )
+            )
+    return findings
+
+
 # Chaos/schedule perturbation randomness (DESIGN.md §17). Matches Rng
 # construction sites ("Rng name(...)" declarations and "= Rng(...)"
 # assignments) but not references ("Rng& rng"), constructor declarations
@@ -1107,6 +1152,7 @@ def collect_findings(repo: Repo, engine: str) -> list:
     findings.extend(rule_unbalanced_lock_scope(repo))
     findings.extend(rule_scheduler_raw_switch(repo))
     findings.extend(rule_chaos_undecorrelated_stream(repo))
+    findings.extend(rule_map_raw_clip(repo))
 
     kept = []
     for f in findings:

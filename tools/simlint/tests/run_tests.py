@@ -79,6 +79,9 @@ class SimlintFixtureTest(unittest.TestCase):
             self.expect("chaos-undecorrelated-stream", "src/sim/chaos_bad.cc", "RAW-SEED"),
             self.expect("chaos-undecorrelated-stream", "src/sim/chaos_bad.cc", "FIXED-SEED"),
             self.expect("chaos-undecorrelated-stream", "src/sim/chaos_bad.cc", "RESEED"),
+            self.expect("map-raw-clip", "src/core/bad_clip.cc", "RAW-RESERVATION"),
+            self.expect("map-raw-clip", "src/core/bad_clip.cc", "RAW-CLIPSTART"),
+            self.expect("map-raw-clip", "src/core/bad_clip.cc", "RAW-CLIPEND"),
         }
         extra = self.found - expected
         self.assertFalse(
@@ -101,6 +104,8 @@ class SimlintFixtureTest(unittest.TestCase):
             "src/bsdvm/clean_layering.h",
             "src/sim/rng.h",  # det-host-nondet exempt path
             "src/sim/chaos_clean.cc",
+            "src/core/clean_clip.cc",
+            "src/sim/addr_map.h",  # map-raw-clip exempt path
         }
         dirty = {p for _, p, _ in self.found if p in clean}
         self.assertFalse(dirty, f"clean fixtures produced findings: {sorted(dirty)}")
