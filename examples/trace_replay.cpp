@@ -73,7 +73,7 @@ int RunOn(VmKind kind, const std::string& trace, const sim::FaultPlan* plan) {
   kern::ReplayResult res = kern::ReplayTrace(*w.kernel, trace);
   if (res.err != sim::kOk) {
     std::printf("FAILED at line %d: %s (%s)\n", res.line, res.message.c_str(),
-                sim::ErrorName(res.err));
+                sim::ErrName(res.err));
     return 1;
   }
   std::printf("%zu operations replayed successfully.\n\n", res.ops_executed);
@@ -83,7 +83,6 @@ int RunOn(VmKind kind, const std::string& trace, const sim::FaultPlan* plan) {
   });
   std::printf("\n");
   sim::ReportStats(std::cout, w.machine);
-  kern::DumpRecoveryStats(std::cout, w.machine);
   return 0;
 }
 

@@ -552,15 +552,18 @@ int BsdVm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
 int BsdVm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "bsd_protect");
   auto& as = static_cast<BsdAddressSpace&>(as_);
-  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
-                           [&](VmMap::iterator it) {
-                             if (!sim::ProtIncludes(it->max_prot, prot)) {
-                               return sim::kErrProt;
-                             }
-                             it->prot = prot;
-                             as.pmap_.IntersectProtRange(it->start, it->end, prot);
-                             return sim::kOk;
-                           });
+  sim::Vaddr end = addr + sim::PageRound(len);
+  // All or nothing, like vm_map_protect: refuse before anything changes.
+  if (!as.map_.AllInRange(addr, end, [&](const MapEntry& e) {
+        return sim::ProtIncludes(e.max_prot, prot);
+      })) {
+    return sim::kErrProt;
+  }
+  return as.map_.WalkRange(addr, end, DupRefs{this}, [&](VmMap::iterator it) {
+    it->prot = prot;
+    as.pmap_.IntersectProtRange(it->start, it->end, prot);
+    return sim::kOk;
+  });
 }
 
 int BsdVm::SetInherit(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
@@ -1207,22 +1210,7 @@ std::size_t BsdVm::MaxChainDepth(kern::AddressSpace& as_) const {
   return deepest;
 }
 
-void BsdVm::CheckInvariants() {
-  for (VmObject* obj : all_objects_) {
-    SIM_ASSERT_MSG(obj->ref_count > 0 || obj->in_cache_, "unreferenced live object");
-    SIM_ASSERT_MSG(!obj->in_cache_ || obj->ref_count == 0, "cached object with references");
-    SIM_ASSERT_MSG(!obj->in_cache_ || obj->can_persist_, "cached non-persistent object");
-    for (const auto& [pgi, page] : obj->pages) {
-      SIM_ASSERT_MSG(page->owner == obj, "page owner mismatch");
-      SIM_ASSERT_MSG(page->offset == pgi, "page offset mismatch");
-      SIM_ASSERT_MSG(page->owner_kind == phys::OwnerKind::kBsdObject, "page owner kind mismatch");
-    }
-    if (obj->shadow != nullptr) {
-      SIM_ASSERT_MSG(all_objects_.contains(obj->shadow), "dangling shadow pointer");
-    }
-  }
-  SIM_ASSERT(object_cache_.size() <= config_.object_cache_limit);
-}
+void BsdVm::CheckInvariants() { machine_.auditor().Enforce(audit_token_); }
 
 void BsdVm::AuditState(sim::Auditor& auditor) const {
   std::unordered_set<std::int32_t> seen_slots;

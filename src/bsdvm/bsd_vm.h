@@ -188,7 +188,7 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
 
   std::unique_ptr<BsdAddressSpace> kernel_as_;
   // Ordered by creation id, not pointer value: walks over the live-object
-  // registry (TotalAnonPages, CheckInvariants) must not depend on where the
+  // registry (TotalAnonPages, AuditState) must not depend on where the
   // allocator happened to place each object.
   struct VmObjectIdLess {
     bool operator()(const VmObject* a, const VmObject* b) const { return a->id < b->id; }

@@ -415,15 +415,18 @@ int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
 
 int Uvm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
   auto& as = static_cast<UvmAddressSpace&>(as_);
-  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
-                           [&](UvmMap::iterator it) {
-                             if (!sim::ProtIncludes(it->max_prot, prot)) {
-                               return sim::kErrProt;
-                             }
-                             it->prot = prot;
-                             as.pmap_.IntersectProtRange(it->start, it->end, prot);
-                             return sim::kOk;
-                           });
+  sim::Vaddr end = addr + sim::PageRound(len);
+  // All or nothing, like uvm_map_protect: refuse before anything changes.
+  if (!as.map_.AllInRange(addr, end, [&](const UvmMapEntry& e) {
+        return sim::ProtIncludes(e.max_prot, prot);
+      })) {
+    return sim::kErrProt;
+  }
+  return as.map_.WalkRange(addr, end, DupRefs{this}, [&](UvmMap::iterator it) {
+    it->prot = prot;
+    as.pmap_.IntersectProtRange(it->start, it->end, prot);
+    return sim::kOk;
+  });
 }
 
 int Uvm::SetInherit(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
@@ -1696,28 +1699,7 @@ std::size_t Uvm::AnonResidentPages(kern::AddressSpace& as_) const {
   return n;
 }
 
-void Uvm::CheckInvariants() {
-  SIM_ORDERED_OK("assert-only walk; no simulation state or time is touched");
-  for (Anon* a : all_anons_) {
-    SIM_ASSERT_MSG(a->ref_count > 0, "live anon with zero refs");
-    // Note: an anon may legitimately hold neither a page nor a swap slot —
-    // a clean zero-fill page reclaimed by the pagedaemon refaults as zeros.
-    if (a->page != nullptr) {
-      SIM_ASSERT_MSG(a->page->owner_kind == phys::OwnerKind::kUvmAnon, "anon page owner kind");
-      SIM_ASSERT_MSG(a->page->owner == a, "anon page owner pointer");
-    }
-    if (a->swap_slot != swp::kNoSlot) {
-      SIM_ASSERT_MSG(swap_.IsUsed(a->swap_slot), "anon swap slot not allocated");
-    }
-  }
-  SIM_ORDERED_OK("assert-only walk; no simulation state or time is touched");
-  for (Amap* am : all_amaps_) {
-    SIM_ASSERT_MSG(am->ref_count > 0, "live amap with zero refs");
-    am->impl->ForEach([this](std::uint64_t, Anon* a) {
-      SIM_ASSERT_MSG(all_anons_.contains(a), "amap references dead anon");
-    });
-  }
-}
+void Uvm::CheckInvariants() { machine_.auditor().Enforce(audit_token_); }
 
 void Uvm::AuditState(sim::Auditor& auditor) const {
   // Count amap->anon references; at a quiescent point every anon reference

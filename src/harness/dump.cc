@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <iomanip>
+#include <string>
 
 #include "src/bsdvm/bsd_vm.h"
 #include "src/core/uvm.h"
@@ -10,37 +11,15 @@ namespace kern {
 
 namespace {
 
-const char* ProtName(sim::Prot p) {
-  switch (p) {
-    case sim::Prot::kNone:
-      return "---";
-    case sim::Prot::kRead:
-      return "r--";
-    case sim::Prot::kWrite:
-      return "-w-";
-    case sim::Prot::kReadWrite:
-      return "rw-";
-    case sim::Prot::kExec:
-      return "--x";
-    case sim::Prot::kReadExec:
-      return "r-x";
-    case sim::Prot::kAll:
-      return "rwx";
-    default:
-      return "rw?";
-  }
+// "rwx", with '-' for each bit the protection lacks.
+std::string ProtName(sim::Prot p) {
+  return {sim::CanRead(p) ? 'r' : '-', sim::CanWrite(p) ? 'w' : '-',
+          sim::ProtIncludes(p, sim::Prot::kExec) ? 'x' : '-'};
 }
 
 const char* InheritName(sim::Inherit i) {
-  switch (i) {
-    case sim::Inherit::kNone:
-      return "none";
-    case sim::Inherit::kShared:
-      return "share";
-    case sim::Inherit::kCopy:
-      return "copy";
-  }
-  return "?";
+  constexpr const char* kNames[] = {"none", "share", "copy"};  // sim::Inherit order
+  return kNames[static_cast<std::size_t>(i)];
 }
 
 }  // namespace
@@ -93,24 +72,6 @@ void DumpUvmMap(std::ostream& os, uvm::Uvm& vm, AddressSpace& as_) {
     }
     os << "\n";
   }
-}
-
-void DumpRecoveryStats(std::ostream& os, const sim::Machine& machine) {
-  const sim::Stats& s = machine.stats();
-  os << "io recovery: " << s.io_errors_injected << " " << sim::ErrName(sim::kErrIO)
-     << " injected, " << s.pagein_errors << " pagein errors, " << s.pageout_retries
-     << " pageout retries, " << s.bad_slots_remapped << " bad slots remapped\n";
-}
-
-void DumpPressureStats(std::ostream& os, const sim::Machine& machine) {
-  const sim::Stats& s = machine.stats();
-  os << "pressure: " << s.pressure_events << " plan events, " << s.page_alloc_failures
-     << " page-alloc failures, " << s.alloc_retries << " alloc retries, " << s.fault_retries
-     << " fault retries, " << s.emergency_page_allocs << " emergency pages, "
-     << s.swap_full_events << " swap-full, " << s.swap_reserve_allocs << " reserve slots, "
-     << s.map_entry_pool_denials << " map-entry denials, " << s.vnode_table_full
-     << " vnode-table full, " << s.oom_kills << " oom kills (" << s.oom_pages_reclaimed
-     << " pages reclaimed)\n";
 }
 
 void DumpMap(std::ostream& os, VmSystem& vm, AddressSpace& as) {

@@ -7,7 +7,6 @@
 #include <ostream>
 
 #include "src/vm/vm_iface.h"
-#include "src/sim/machine.h"
 
 namespace bsdvm {
 class BsdVm;
@@ -28,14 +27,6 @@ void DumpUvmMap(std::ostream& os, uvm::Uvm& vm, AddressSpace& as);
 
 // Dispatches on the concrete system.
 void DumpMap(std::ostream& os, VmSystem& vm, AddressSpace& as);
-
-// One-line summary of the machine's I/O fault-injection and recovery
-// counters ("ddb show uvmexp" style), for soak-test diagnostics.
-void DumpRecoveryStats(std::ostream& os, const sim::Machine& machine);
-
-// One-line summary of the resource-pressure counters (DESIGN.md §12), for
-// pressure-soak diagnostics.
-void DumpPressureStats(std::ostream& os, const sim::Machine& machine);
 
 }  // namespace kern
 

@@ -161,7 +161,7 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
                   : st.k.Mmap(p, &addr, pages * sim::kPageSize, file,
                               offpages * sim::kPageSize, attrs);
     if (err != sim::kOk) {
-      *msg = "mmap failed: " + std::string(sim::ErrorName(err));
+      *msg = "mmap failed: " + std::string(sim::ErrName(err));
       return err;
     }
     st.regs[reg] = addr;
@@ -190,14 +190,14 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
       err = st.k.Msync(p, base, pages * sim::kPageSize);
     }
     if (err != sim::kOk) {
-      *msg = op + " failed: " + std::string(sim::ErrorName(err));
+      *msg = op + " failed: " + std::string(sim::ErrName(err));
     }
     return err;
   }
   if (op == "sysctl") {
     int err = st.k.Sysctl(p, base, sim::kPageSize);
     if (err != sim::kOk) {
-      *msg = "sysctl failed: " + std::string(sim::ErrorName(err));
+      *msg = "sysctl failed: " + std::string(sim::ErrName(err));
     }
     return err;
   }
@@ -209,7 +209,7 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
     }
     int err = st.k.TouchWrite(p, base + off * sim::kPageSize, 1, value);
     if (err != sim::kOk) {
-      *msg = "write failed: " + std::string(sim::ErrorName(err));
+      *msg = "write failed: " + std::string(sim::ErrName(err));
     }
     return err;
   }
@@ -233,7 +233,7 @@ int ExecOp(ReplayState& st, const std::vector<std::string>& t, std::string* msg)
     std::vector<std::byte> got(1);
     int err = st.k.ReadMem(p, base + off * sim::kPageSize, got);
     if (err != sim::kOk) {
-      *msg = "read failed: " + std::string(sim::ErrorName(err));
+      *msg = "read failed: " + std::string(sim::ErrName(err));
       return err;
     }
     if (got[0] != want) {

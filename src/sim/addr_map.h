@@ -207,6 +207,20 @@ class AddrMap {
     return i < iters_.size() ? iters_[i] : entries_.end();
   }
 
+  // Host-side check (no charge, no stats, no clip): does `pred` hold for
+  // every entry overlapping [start, end)? Lets an all-or-nothing range op
+  // refuse before its walk changes anything.
+  template <typename Pred>
+  bool AllInRange(Vaddr start, Vaddr end, Pred&& pred) {
+    for (iterator it = Seek(start); start < end && it != entries_.end() && it->start < end;
+         ++it) {
+      if (!pred(*it)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
   // ---- Range operations (DESIGN.md §9 "Range operations") ----
   //
   // The one clip-and-visit loop behind every range op of both VMs. Each

@@ -20,19 +20,33 @@ void Auditor::Unregister(int token) {
                 checks_.end());
 }
 
-std::size_t Auditor::Run() {
+void Auditor::RunChecks(std::span<const Entry> checks) {
   SIM_ASSERT_MSG(!running_, "recursive Auditor::Run");
   running_ = true;
   last_violations_.clear();
-  for (const Entry& e : checks_) {
+  for (const Entry& e : checks) {
     current_check_ = e.name.c_str();
     e.fn(*this);
   }
   current_check_ = nullptr;
   running_ = false;
+}
+
+std::size_t Auditor::Run() {
+  RunChecks(checks_);
   ++runs_;
   total_violations_ += last_violations_.size();
   return last_violations_.size();
+}
+
+void Auditor::Enforce(int token) {
+  auto it = std::find_if(checks_.begin(), checks_.end(),
+                         [token](const Entry& e) { return e.token == token; });
+  SIM_ASSERT_MSG(it != checks_.end(), "Auditor::Enforce of an unregistered check");
+  RunChecks({&*it, 1});
+  if (!last_violations_.empty()) {
+    SIM_PANIC(last_violations_.front().c_str());
+  }
 }
 
 void Auditor::Poll(Nanoseconds now, Tracer& tracer) {

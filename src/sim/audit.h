@@ -13,7 +13,8 @@
 //     kernel's operation boundaries — quiescent points by construction);
 //   - at shutdown of every harness::World (so every test binary and bench
 //     ends with a full audit);
-//   - on demand from soaks and the corruption-fixture tests (Run()).
+//   - on demand from soaks and the corruption-fixture tests (Run()), and
+//     from a VM's CheckInvariants (Enforce(), that VM's check only).
 //
 // Audit runs are observer-effect-free: no virtual time is charged, no Stats
 // counter moves, and checks only read simulation state — an armed auditor
@@ -27,6 +28,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -64,6 +66,10 @@ class Auditor {
   // run recorded (also kept in violations() / last_violations()).
   std::size_t Run();
 
+  // Run the one check registered under `token` now and panic on its first
+  // violation; the VMs' CheckInvariants. Not counted in runs().
+  void Enforce(int token);
+
   // Periodic entry point: run when armed and due, then panic on any
   // violation — an incoherent state must stop the run at the moment it is
   // first observable, not thousands of events later. Inert (one branch)
@@ -85,6 +91,9 @@ class Auditor {
     std::string name;
     Check fn;
   };
+
+  // Run `checks` in order, leaving their violations in last_violations_.
+  void RunChecks(std::span<const Entry> checks);
 
   std::vector<Entry> checks_;
   int next_token_ = 1;

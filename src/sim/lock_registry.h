@@ -11,6 +11,7 @@
 #define SRC_SIM_LOCK_REGISTRY_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -28,34 +29,30 @@ class SimLock;
 // fork, the BSD kernel map under a locked process map for PT-page mirroring).
 // kPv and kSwap extend the paper's five-entry table downward: pv-chain and
 // swap-slot locks are leaves acquired under everything else.
+// X(enumerator, name), outermost rank first.
+#define SIM_LOCK_RANKS(X)     \
+  X(kMap, "map")              \
+  X(kObject, "object")        \
+  X(kAmap, "amap")            \
+  X(kPageQueue, "page-queue") \
+  X(kPmap, "pmap")            \
+  X(kPv, "pv")                \
+  X(kSwap, "swap")
+
 enum class LockRank : std::uint8_t {
-  kMap = 0,
-  kObject = 1,
-  kAmap = 2,
-  kPageQueue = 3,
-  kPmap = 4,
-  kPv = 5,
-  kSwap = 6,
+#define SIM_LOCK_RANK_ENUM(rank, name) rank,
+  SIM_LOCK_RANKS(SIM_LOCK_RANK_ENUM)
+#undef SIM_LOCK_RANK_ENUM
 };
 
-inline const char* LockRankName(LockRank r) {
-  switch (r) {
-    case LockRank::kMap:
-      return "map";
-    case LockRank::kObject:
-      return "object";
-    case LockRank::kAmap:
-      return "amap";
-    case LockRank::kPageQueue:
-      return "page-queue";
-    case LockRank::kPmap:
-      return "pmap";
-    case LockRank::kPv:
-      return "pv";
-    case LockRank::kSwap:
-      return "swap";
-  }
-  return "?";
+inline constexpr const char* kLockRankNames[] = {
+#define SIM_LOCK_RANK_NAME(rank, name) name,
+    SIM_LOCK_RANKS(SIM_LOCK_RANK_NAME)
+#undef SIM_LOCK_RANK_NAME
+};
+
+constexpr const char* LockRankName(LockRank r) {
+  return kLockRankNames[static_cast<std::size_t>(r)];
 }
 
 // Per-lock-class counter totals, aggregated by lock name. For live locks

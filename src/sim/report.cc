@@ -50,45 +50,12 @@ void ReportCostBreakdown(std::ostream& os, const Machine& machine) {
 void ReportStats(std::ostream& os, const Machine& machine) {
   const Stats& s = machine.stats();
   std::ostringstream out = ClassicStream();
-  out << "virtual time: " << FormatSeconds(machine.clock().now()) << " s\n"
-      << "faults:       " << s.faults << " (+" << s.fault_neighbor_maps
-      << " neighbour pages mapped)\n"
-      << "disk:         " << s.disk_ops << " ops, " << s.disk_pages_read << " pages in, "
-      << s.disk_pages_written << " pages out\n"
-      << "swap:         " << s.swap_ops << " ops, " << s.swap_pages_in << " pages in, "
-      << s.swap_pages_out << " pages out\n"
-      << "io errors:    " << s.io_errors_injected << " injected, " << s.pagein_errors
-      << " pagein errors, " << s.pageout_retries << " pageout retries, "
-      << s.bad_slots_remapped << " bad slots remapped, " << s.pageout_drops
-      << " dirty pages dropped\n"
-      << "memory:       " << s.pages_copied << " pages copied, " << s.pages_zeroed
-      << " pages zeroed\n"
-      << "map entries:  " << s.map_entries_allocated << " allocated, "
-      << s.map_entry_fragmentations << " fragmentations, " << s.map_entries_merged
-      << " merged\n"
-      << "lookups:      " << s.map_lookup_probes << " map probes (modeled), "
-      << s.map_hint_hits << " hint hits, " << s.pagestore_lookups
-      << " pagestore lookups, " << s.pte_cache_hits << " pte-cache hits\n"
-      << "objects:      " << s.objects_allocated << " allocated, " << s.shadows_created
-      << " shadows, " << s.collapse_attempts << " collapse attempts ("
-      << s.collapses_done << " collapses, " << s.bypasses_done << " bypasses)\n"
-      << "anon layer:   " << s.amaps_allocated << " amaps, " << s.anons_allocated
-      << " anons\n"
-      << "caches:       " << s.object_cache_hits << " object-cache hits, "
-      << s.object_cache_evictions << " evictions; " << s.vnode_cache_hits
-      << " vnode hits, " << s.vnode_recycles << " recycles\n"
-      << "locks:        " << s.map_lock_acquisitions << " map-lock acquisitions, "
-      << s.map_lock_hold_ns << " ns held\n";
+  out << "virtual time: " << FormatSeconds(machine.clock().now()) << " s\n";
+  for (std::size_t i = 0; i < kNumStats; ++i) {
+    out << kStatNames[i] << ' ' << s.*kStatFields[i] << '\n';
+  }
   os << out.str();
   ReportCostBreakdown(os, machine);
-}
-
-void ReportIoLine(std::ostream& os, const Machine& machine) {
-  const Stats& s = machine.stats();
-  std::ostringstream out = ClassicStream();
-  out << "faults=" << s.faults << " disk_ops=" << s.disk_ops << " swap_ops=" << s.swap_ops
-      << " copied=" << s.pages_copied << " t=" << FormatSeconds(machine.clock().now()) << "s";
-  os << out.str();
 }
 
 void ReportLockTable(std::ostream& os, const Machine& machine) {

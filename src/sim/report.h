@@ -18,21 +18,18 @@ namespace sim {
 // Virtual nanoseconds as fixed-precision seconds ("1.234567").
 std::string FormatSeconds(Nanoseconds ns);
 
-// Write a multi-line counter summary to `os` (ends with the per-category
-// cost breakdown).
+// The virtual time, then one "name value" line for every Stats counter in
+// SIM_STATS order (zeros included, so two runs diff line by line), then the
+// per-category cost breakdown.
 void ReportStats(std::ostream& os, const Machine& machine);
 
 // Just the per-category virtual-time breakdown.
 void ReportCostBreakdown(std::ostream& os, const Machine& machine);
 
-// One-line I/O summary ("faults=... disk_ops=... swap_ops=...").
-void ReportIoLine(std::ostream& os, const Machine& machine);
-
 // Per-lock-class attribution table (DESIGN.md §15): every lock class ever
 // registered with the machine's LockRegistry, in first-registration order,
-// with instance counts, acquisitions, and virtual hold time. Deliberately
-// NOT part of ReportStats: existing report output stays byte-identical, and
-// callers opt in (e.g. `bench_fleet --locks`).
+// with instance counts, acquisitions, and virtual hold time. Not part of
+// ReportStats; callers opt in (e.g. `bench_fleet --locks`).
 void ReportLockTable(std::ostream& os, const Machine& machine);
 
 }  // namespace sim

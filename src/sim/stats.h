@@ -1,113 +1,124 @@
 // Global event counters. Reset between experiment runs; benches and tests
 // read these to report the paper's tables (fault counts, map-entry counts,
-// I/O operation counts, leak accounting).
+// I/O operation counts). Each counter is declared once, in SIM_STATS; the
+// fields, the name table and sim::ReportStats all come from that list.
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 
 namespace sim {
 
+// X(name) per counter, in report order.
+#define SIM_STATS(X)                                                                       \
+  /* Fault path */                                                                         \
+  X(faults)                   /* page faults taken */                                      \
+  X(fault_neighbor_maps)      /* pages mapped by UVM fault lookahead */                    \
+  /* I/O */                                                                                \
+  X(disk_ops)                 /* distinct I/O operations (seeks) */                        \
+  X(disk_pages_read)                                                                       \
+  X(disk_pages_written)                                                                    \
+  X(swap_ops)                                                                              \
+  X(swap_pages_in)                                                                         \
+  X(swap_pages_out)                                                                        \
+  /* I/O error injection and recovery */                                                   \
+  X(io_errors_injected)       /* faults delivered by the injector */                       \
+  X(pagein_errors)            /* faults surfaced to a process as kErrIO */                 \
+  X(pageout_retries)          /* pageout retry passes after EIO */                         \
+  X(bad_slots_remapped)       /* swap slots marked bad and replaced */                     \
+  /* Dirty pages dropped because a terminate-time flush exhausted its */                   \
+  /* retries (object/vnode teardown cannot report failure; a permanently */                \
+  /* dead disk loses the write, and this counter is the only evidence). */                 \
+  X(pageout_drops)                                                                         \
+  /* Memory traffic */                                                                     \
+  X(pages_copied)                                                                          \
+  X(pages_zeroed)                                                                          \
+  /* Map bookkeeping */                                                                    \
+  X(map_entries_allocated)    /* cumulative allocations */                                 \
+  X(map_entry_fragmentations)                                                              \
+  X(map_entries_merged)       /* UVM optional coalescing */                                \
+  /* Hot-path lookup observability. Probes are *modeled* (the virtual-time */              \
+  /* linear-scan position), independent of the host data structure; hint */                \
+  /* hits are lookups satisfied by the per-map last-lookup hint. */                        \
+  X(map_lookup_probes)                                                                     \
+  X(map_hint_hits)                                                                         \
+  X(pagestore_lookups)        /* object page-store probes */                               \
+  X(pte_cache_hits)           /* pmap single-entry PTE cache hits */                       \
+  /* Object layer */                                                                       \
+  X(objects_allocated)        /* BSD vm_objects (incl. shadows) */                         \
+  X(shadows_created)                                                                       \
+  X(collapse_attempts)                                                                     \
+  X(collapses_done)                                                                        \
+  X(bypasses_done)                                                                         \
+  X(amaps_allocated)                                                                       \
+  X(anons_allocated)                                                                       \
+  /* Cache behaviour */                                                                    \
+  X(object_cache_hits)                                                                     \
+  X(object_cache_evictions)                                                                \
+  X(vnode_cache_hits)                                                                      \
+  X(vnode_recycles)                                                                        \
+  /* Lock metering (§3.1: BSD holds the map lock across object teardown) */                \
+  X(map_lock_acquisitions)                                                                 \
+  X(map_lock_hold_ns)                                                                      \
+  /* All sim::SimLock instances combined (map locks included); per-lock-class */           \
+  /* attribution lives in the machine's LockRegistry (DESIGN.md §15). */                   \
+  X(lock_acquisitions)                                                                     \
+  X(lock_hold_ns)                                                                          \
+  /* SMP contention (DESIGN.md §16): acquires that paid queueing delay and */              \
+  /* the total delay charged. Always zero in single-CPU worlds. */                         \
+  X(lock_contended_acquires)                                                               \
+  X(lock_wait_ns)                                                                          \
+  /* Resource pressure / pool exhaustion (DESIGN.md §12) */                                \
+  X(pressure_events)          /* scripted pressure-plan events applied */                  \
+  X(page_alloc_failures)      /* AllocPage denied (empty or reserve-protected) */          \
+  X(emergency_page_allocs)    /* pageout/PT-page allocs that dipped into reserve */        \
+  X(alloc_retries)            /* extra daemon-and-retry passes on the alloc path */        \
+  X(fault_retries)            /* kernel-level fault retries under pressure */              \
+  /* Fault paths that found their captured Page* freed (generation bumped) */              \
+  /* by a pagedaemon run inside a blocking allocation, and backed out or */                \
+  /* re-looked-up instead of touching the recycled frame. */                               \
+  X(fault_stale_page_retries)                                                              \
+  X(swap_full_events)         /* pageout wanted a swap slot and none was free */           \
+  X(swap_reserve_allocs)      /* slot allocs that dipped into the pageout reserve */       \
+  X(vnode_table_full)         /* vnode table exhausted with nothing recyclable */          \
+  X(map_entry_pool_denials)   /* range ops refused for lack of clip headroom */            \
+  X(oom_kills)                /* out-of-swap killer victims */                             \
+  X(oom_pages_reclaimed)      /* frames freed by those kills */                            \
+  /* Memory-error injection and containment (DESIGN.md §13) */                             \
+  X(memfault_events)          /* scripted memfault-plan events applied */                  \
+  X(frames_poisoned)          /* frames marked poisoned by the injector */                 \
+  X(poison_discards)          /* clean poisoned pages unmapped and discarded */            \
+  X(poison_refetches)         /* refaults that re-fetched discarded contents */            \
+  X(poison_kills)             /* processes killed over dirty poisoned anon pages */        \
+  X(poison_pages_reclaimed)   /* frames freed by those kills */                            \
+  X(poison_loans_broken)      /* loaned poisoned pages revoked from borrowers */
+
 struct Stats {
-  // Fault path
-  std::uint64_t faults = 0;             // page faults taken
-  std::uint64_t fault_neighbor_maps = 0;  // pages mapped by UVM fault lookahead
-
-  // I/O
-  std::uint64_t disk_ops = 0;       // distinct I/O operations (seeks)
-  std::uint64_t disk_pages_read = 0;
-  std::uint64_t disk_pages_written = 0;
-  std::uint64_t swap_ops = 0;
-  std::uint64_t swap_pages_in = 0;
-  std::uint64_t swap_pages_out = 0;
-
-  // I/O error injection and recovery
-  std::uint64_t io_errors_injected = 0;  // faults delivered by the injector
-  std::uint64_t pagein_errors = 0;       // faults surfaced to a process as kErrIO
-  std::uint64_t pageout_retries = 0;     // pageout retry passes after EIO
-  std::uint64_t bad_slots_remapped = 0;  // swap slots marked bad and replaced
-  // Dirty pages dropped because a terminate-time flush exhausted its
-  // retries (object/vnode teardown cannot report failure; a permanently
-  // dead disk loses the write, and this counter is the only evidence).
-  std::uint64_t pageout_drops = 0;
-
-  // Memory traffic
-  std::uint64_t pages_copied = 0;
-  std::uint64_t pages_zeroed = 0;
-
-  // Map bookkeeping
-  std::uint64_t map_entries_allocated = 0;  // cumulative allocations
-  std::uint64_t map_entry_fragmentations = 0;
-  std::uint64_t map_entries_merged = 0;  // UVM optional coalescing
-
-  // Hot-path lookup observability. Probes are *modeled* (the virtual-time
-  // linear-scan position), independent of the host data structure; hint
-  // hits are lookups satisfied by the per-map last-lookup hint.
-  std::uint64_t map_lookup_probes = 0;
-  std::uint64_t map_hint_hits = 0;
-  std::uint64_t pagestore_lookups = 0;  // object page-store probes
-  std::uint64_t pte_cache_hits = 0;     // pmap single-entry PTE cache hits
-
-  // Object layer
-  std::uint64_t objects_allocated = 0;   // BSD vm_objects (incl. shadows)
-  std::uint64_t shadows_created = 0;
-  std::uint64_t collapse_attempts = 0;
-  std::uint64_t collapses_done = 0;
-  std::uint64_t bypasses_done = 0;
-  std::uint64_t amaps_allocated = 0;
-  std::uint64_t anons_allocated = 0;
-
-  // Cache behaviour
-  std::uint64_t object_cache_hits = 0;
-  std::uint64_t object_cache_evictions = 0;
-  std::uint64_t vnode_cache_hits = 0;
-  std::uint64_t vnode_recycles = 0;
-
-  // Lock metering (§3.1: BSD holds the map lock across object teardown)
-  std::uint64_t map_lock_acquisitions = 0;
-  std::uint64_t map_lock_hold_ns = 0;
-  // All sim::SimLock instances combined (map locks included); per-lock-class
-  // attribution lives in the machine's LockRegistry (DESIGN.md §15).
-  std::uint64_t lock_acquisitions = 0;
-  std::uint64_t lock_hold_ns = 0;
-  // SMP contention (DESIGN.md §16): acquires that paid queueing delay and
-  // the total delay charged. Always zero in single-CPU worlds; not printed
-  // by ReportStats (the per-class lock table reports them) so the eight
-  // paper benches stay byte-identical.
-  std::uint64_t lock_contended_acquires = 0;
-  std::uint64_t lock_wait_ns = 0;
-
-  // Pathology accounting
-  std::uint64_t leaked_pages_detected = 0;  // inaccessible pages found in chains
-
-  // Resource pressure / pool exhaustion (DESIGN.md §12)
-  std::uint64_t pressure_events = 0;        // scripted pressure-plan events applied
-  std::uint64_t page_alloc_failures = 0;    // AllocPage denied (empty or reserve-protected)
-  std::uint64_t emergency_page_allocs = 0;  // pageout/PT-page allocs that dipped into reserve
-  std::uint64_t alloc_retries = 0;          // extra daemon-and-retry passes on the alloc path
-  std::uint64_t fault_retries = 0;          // kernel-level fault retries under pressure
-  // Fault paths that found their captured Page* freed (generation bumped)
-  // by a pagedaemon run inside a blocking allocation, and backed out or
-  // re-looked-up instead of touching the recycled frame.
-  std::uint64_t fault_stale_page_retries = 0;
-  std::uint64_t swap_full_events = 0;       // pageout wanted a swap slot and none was free
-  std::uint64_t swap_reserve_allocs = 0;    // slot allocs that dipped into the pageout reserve
-  std::uint64_t vnode_table_full = 0;       // vnode table exhausted with nothing recyclable
-  std::uint64_t map_entry_pool_denials = 0; // range ops refused for lack of clip headroom
-  std::uint64_t oom_kills = 0;              // out-of-swap killer victims
-  std::uint64_t oom_pages_reclaimed = 0;    // frames freed by those kills
-
-  // Memory-error injection and containment (DESIGN.md §13)
-  std::uint64_t memfault_events = 0;        // scripted memfault-plan events applied
-  std::uint64_t frames_poisoned = 0;        // frames marked poisoned by the injector
-  std::uint64_t poison_discards = 0;        // clean poisoned pages unmapped and discarded
-  std::uint64_t poison_refetches = 0;       // refaults that re-fetched discarded contents
-  std::uint64_t poison_kills = 0;           // processes killed over dirty poisoned anon pages
-  std::uint64_t poison_pages_reclaimed = 0; // frames freed by those kills
-  std::uint64_t poison_loans_broken = 0;    // loaned poisoned pages revoked from borrowers
+#define SIM_STATS_FIELD(name) std::uint64_t name = 0;
+  SIM_STATS(SIM_STATS_FIELD)
+#undef SIM_STATS_FIELD
 
   void Reset() { *this = Stats{}; }
 };
+
+// Name and field of every counter, in list order.
+inline constexpr const char* kStatNames[] = {
+#define SIM_STATS_NAME(name) #name,
+    SIM_STATS(SIM_STATS_NAME)
+#undef SIM_STATS_NAME
+};
+inline constexpr std::uint64_t Stats::*kStatFields[] = {
+#define SIM_STATS_MEMBER(name) &Stats::name,
+    SIM_STATS(SIM_STATS_MEMBER)
+#undef SIM_STATS_MEMBER
+};
+inline constexpr std::size_t kNumStats = std::size(kStatNames);
+
+// A field declared outside SIM_STATS would be neither named nor reported.
+static_assert(sizeof(Stats) == kNumStats * sizeof(std::uint64_t),
+              "every sim::Stats counter must be declared in SIM_STATS");
 
 }  // namespace sim
 

@@ -5,40 +5,6 @@
 
 namespace sim {
 
-const char* CostCatName(CostCat c) {
-  switch (c) {
-    case CostCat::kOther:
-      return "other";
-    case CostCat::kFault:
-      return "fault";
-    case CostCat::kPagein:
-      return "pagein";
-    case CostCat::kPageout:
-      return "pageout";
-    case CostCat::kMap:
-      return "map";
-    case CostCat::kPmap:
-      return "pmap";
-    case CostCat::kCopy:
-      return "copy";
-    case CostCat::kLock:
-      return "lock";
-    case CostCat::kLoan:
-      return "loan";
-    case CostCat::kFork:
-      return "fork";
-    case CostCat::kAlloc:
-      return "alloc";
-    case CostCat::kIo:
-      return "io";
-    case CostCat::kPoison:
-      return "poison";
-    case CostCat::kAudit:
-      return "audit";
-  }
-  return "?";
-}
-
 namespace {
 
 // Chrome trace "ts" is in microseconds. Format ns as fixed-point micros

@@ -19,7 +19,9 @@
 #define SRC_SIM_TRACE_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <vector>
 
@@ -31,25 +33,38 @@ namespace sim {
 // Cost categories. A charge is attributed to the innermost enclosing
 // ChargeScope's category, unless the charging site names a category
 // explicitly (leaf mechanisms: pmap, page copies, lock round-trips).
-enum class CostCat : std::uint8_t {
-  kOther = 0,  // no enclosing scope
-  kFault,      // fault-handler path (chain walk, promotions, bookkeeping)
-  kPagein,     // pager gets: vnode reads, swap-in, clustered pagein
-  kPageout,    // pagedaemon + terminate-time flushes, retries, backoff
-  kMap,        // map/unmap/protect entry manipulation
-  kPmap,       // MMU updates (enter/remove/protect/extract/ptpage)
-  kCopy,       // page copies and zero-fills
-  kLock,       // lock round-trips
-  kLoan,       // §7 loanout / transfer / zero-copy send
-  kFork,       // address-space duplication
-  kAlloc,      // object/shadow/anon/amap/pager allocation
-  kIo,         // raw device I/O outside pagein/pageout (physio, file I/O)
-  kPoison,     // memory-error containment (unmap, discard, refetch, kill)
-  kAudit,      // cross-layer auditor (trace spans only; never charged)
-};
-inline constexpr std::size_t kNumCostCats = 14;
+// X(enumerator, name); the name appears in reports, trace JSON and bench
+// output, so renaming one moves every golden.
+#define SIM_COST_CATS(X)                                                                           \
+  X(kOther, "other")      /* no enclosing scope */                                                 \
+  X(kFault, "fault")      /* fault-handler path (chain walk, promotions, bookkeeping) */           \
+  X(kPagein, "pagein")    /* pager gets: vnode reads, swap-in, clustered pagein */                 \
+  X(kPageout, "pageout")  /* pagedaemon + terminate-time flushes, retries, backoff */              \
+  X(kMap, "map")          /* map/unmap/protect entry manipulation */                               \
+  X(kPmap, "pmap")        /* MMU updates (enter/remove/protect/extract/ptpage) */                  \
+  X(kCopy, "copy")        /* page copies and zero-fills */                                         \
+  X(kLock, "lock")        /* lock round-trips */                                                   \
+  X(kLoan, "loan")        /* §7 loanout / transfer / zero-copy send */                             \
+  X(kFork, "fork")        /* address-space duplication */                                          \
+  X(kAlloc, "alloc")      /* object/shadow/anon/amap/pager allocation */                           \
+  X(kIo, "io")            /* raw device I/O outside pagein/pageout (physio, file I/O) */           \
+  X(kPoison, "poison")    /* memory-error containment (unmap, discard, refetch, kill) */           \
+  X(kAudit, "audit")      /* cross-layer auditor (trace spans only; never charged) */
 
-const char* CostCatName(CostCat c);
+enum class CostCat : std::uint8_t {
+#define SIM_COST_CAT_ENUM(cat, name) cat,
+  SIM_COST_CATS(SIM_COST_CAT_ENUM)
+#undef SIM_COST_CAT_ENUM
+};
+
+inline constexpr const char* kCostCatNames[] = {
+#define SIM_COST_CAT_NAME(cat, name) name,
+    SIM_COST_CATS(SIM_COST_CAT_NAME)
+#undef SIM_COST_CAT_NAME
+};
+inline constexpr std::size_t kNumCostCats = std::size(kCostCatNames);
+
+constexpr const char* CostCatName(CostCat c) { return kCostCatNames[static_cast<std::size_t>(c)]; }
 
 // Per-category virtual-time totals and charge counts.
 struct CostBreakdown {

@@ -6,6 +6,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <string_view>
 
 namespace sim {
 
@@ -75,30 +77,49 @@ enum class Advice : std::uint8_t {
 };
 
 // errno-style error codes used throughout the simulator. Zero is success,
-// mirroring the kernel convention the paper's code base uses.
-inline constexpr int kOk = 0;
-inline constexpr int kErrFault = 1;       // EFAULT: no mapping at address
-inline constexpr int kErrProt = 2;        // EACCES: protection violation
-inline constexpr int kErrNoMem = 3;       // ENOMEM: out of memory / address space
-inline constexpr int kErrNoSwap = 4;      // swap space exhausted
-inline constexpr int kErrExist = 5;       // mapping collision with MAP_FIXED
-inline constexpr int kErrInval = 6;       // invalid argument
-inline constexpr int kErrNoEnt = 7;       // no such file
-inline constexpr int kErrNotSup = 8;      // operation not supported by this VM
-inline constexpr int kErrMapEntryPool = 9;  // kernel map-entry pool exhausted
-inline constexpr int kErrIO = 10;         // EIO: device I/O error
-inline constexpr int kErrNoVnode = 11;    // vnode table exhausted, nothing recyclable
-inline constexpr int kErrMemPoison = 12;  // access hit a poisoned (uncorrectable ECC) frame
+// mirroring the kernel convention the paper's code base uses. Declared once,
+// X(constant, value, name): the constants, kNumErrCodes and ErrName all come
+// from this list.
+#define SIM_ERRORS(X)                                                                              \
+  X(kOk, 0, "OK")                                                                                  \
+  X(kErrFault, 1, "EFAULT")               /* no mapping at address */                              \
+  X(kErrProt, 2, "EACCES")                /* protection violation */                               \
+  X(kErrNoMem, 3, "ENOMEM")               /* out of memory / address space */                      \
+  X(kErrNoSwap, 4, "ENOSWAP")             /* swap space exhausted */                               \
+  X(kErrExist, 5, "EEXIST")               /* mapping collision with MAP_FIXED */                   \
+  X(kErrInval, 6, "EINVAL")               /* invalid argument */                                   \
+  X(kErrNoEnt, 7, "ENOENT")               /* no such file */                                       \
+  X(kErrNotSup, 8, "ENOTSUP")             /* operation not supported by this VM */                 \
+  X(kErrMapEntryPool, 9, "EMAPENTRYPOOL") /* kernel map-entry pool exhausted */                    \
+  X(kErrIO, 10, "EIO")                    /* device I/O error */                                   \
+  X(kErrNoVnode, 11, "ENOVNODE")          /* vnode table exhausted, nothing recyclable */          \
+  X(kErrMemPoison, 12, "EMEMPOISON")      /* access hit a poisoned (uncorrectable ECC) frame */
 
-// One past the last defined error code. tests/errname_test.cpp walks
-// [0, kNumErrCodes) and asserts every code has a real name, so a new code
-// added above without a matching ErrorName case fails fast.
-inline constexpr int kNumErrCodes = 13;
+// Plain ints, not an enum: VM calls and lambdas return them as int.
+#define SIM_ERROR_CONSTANT(constant, value, name) inline constexpr int constant = value;
+SIM_ERRORS(SIM_ERROR_CONSTANT)
+#undef SIM_ERROR_CONSTANT
 
-const char* ErrorName(int err);
+inline constexpr const char* kErrNames[] = {
+#define SIM_ERROR_NAME(constant, value, name) name,
+    SIM_ERRORS(SIM_ERROR_NAME)
+#undef SIM_ERROR_NAME
+};
 
-// Short alias used in dump output and test failure messages.
-inline const char* ErrName(int err) { return ErrorName(err); }
+// One past the last defined error code.
+inline constexpr int kNumErrCodes = static_cast<int>(std::size(kErrNames));
+
+// ErrName indexes kErrNames by code, so the codes must count up from 0.
+#define SIM_ERROR_DENSE(constant, value, name) \
+  static_assert(std::string_view(kErrNames[value]) == name, "SIM_ERRORS values must be 0, 1, 2...");
+SIM_ERRORS(SIM_ERROR_DENSE)
+#undef SIM_ERROR_DENSE
+
+// Name of an error code for dumps and test failure messages; "E???" for a
+// code outside the list.
+constexpr const char* ErrName(int err) {
+  return err >= 0 && err < kNumErrCodes ? kErrNames[err] : "E???";
+}
 
 }  // namespace sim
 

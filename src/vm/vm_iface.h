@@ -194,7 +194,8 @@ class VmSystem {
   virtual std::size_t AnonResidentPages(AddressSpace& as) const = 0;
   // The retry/backoff knobs this VM instance was configured with.
   virtual const VmTuning& tuning() const = 0;
-  // Run internal consistency checks; panics on violation (tests call this).
+  // Run this VM's registered audit check (AuditState); panics on the first
+  // violation (tests call this).
   virtual void CheckInvariants() = 0;
 };
 

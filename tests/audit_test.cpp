@@ -89,6 +89,22 @@ TEST_P(AuditWorldTest, AuditIsObserverEffectFree) {
   EXPECT_EQ(stats_before.str(), stats_after.str()) << "audit moved a stats counter";
 }
 
+// The observer-effect check above compares whole reports, so it sees only
+// what the report prints. Poisoning an idle frame moves frames_poisoned and
+// the lock counters, charges no time and touches no other counter; the
+// report must still change.
+TEST_P(AuditWorldTest, StatsReportSeesAPoisonOnlyCounterMove) {
+  World w(GetParam());
+  std::ostringstream before;
+  sim::ReportStats(before, w.machine);
+  ASSERT_EQ(phys::PageQueue::kFree, w.pm.PageAt(5)->queue);
+  ASSERT_TRUE(w.pm.PoisonPfn(5));
+  std::ostringstream after;
+  sim::ReportStats(after, w.machine);
+  EXPECT_NE(before.str(), after.str()) << "report misses frames_poisoned";
+  EXPECT_NE(std::string::npos, after.str().find("\nframes_poisoned 1\n"));
+}
+
 TEST_P(AuditWorldTest, ArmedIntervalPollsAtOperationBoundaries) {
   WorldConfig cfg;
   cfg.audit_every = 10'000;  // every 10 virtual us

@@ -145,7 +145,7 @@ TEST_P(DeterminismTest, IdenticalSeedsProduceIdenticalStatsDumps) {
     std::string first = RunSeeded(GetParam(), seed);
     std::string second = RunSeeded(GetParam(), seed);
     EXPECT_EQ(first, second) << "seed=" << seed;
-    EXPECT_NE(std::string::npos, first.find("faults:"));
+    EXPECT_NE(std::string::npos, first.find("\nfaults "));
   }
 }
 
@@ -154,7 +154,7 @@ TEST_P(DeterminismTest, FileAndDevicePathsAreSeedStable) {
     std::string first = RunSeededFiles(GetParam(), seed);
     std::string second = RunSeededFiles(GetParam(), seed);
     EXPECT_EQ(first, second) << "seed=" << seed;
-    EXPECT_NE(std::string::npos, first.find("faults:"));
+    EXPECT_NE(std::string::npos, first.find("\nfaults "));
   }
 }
 

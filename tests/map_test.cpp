@@ -88,6 +88,30 @@ TEST_P(MapTest, ProtectAboveMaxProtFails) {
   EXPECT_EQ(sim::kErrProt, w.kernel->Mprotect(p, a, sim::kPageSize, sim::Prot::kReadWrite));
 }
 
+// mprotect is all or nothing: when a later entry's max_prot refuses the
+// new protection, the earlier entry keeps its own and nothing is split.
+TEST_P(MapTest, ProtectRefusedByALaterEntryChangesNothing) {
+  kern::MapAttrs attrs;
+  attrs.fixed = true;
+  attrs.prot = sim::Prot::kRead;
+  sim::Vaddr a = 0x1000'0000;  // entry A: prot r, max rwx
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 2 * sim::kPageSize, attrs));
+  attrs.max_prot = sim::Prot::kRead;
+  sim::Vaddr b = a + 2 * sim::kPageSize;  // entry B: max r
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &b, 2 * sim::kPageSize, attrs));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchRead(p, a, 4 * sim::kPageSize));
+  std::size_t entries = p->as->EntryCount();
+  EXPECT_EQ(sim::kErrProt,
+            w.kernel->Mprotect(p, a, 4 * sim::kPageSize, sim::Prot::kReadWrite));
+  // Starting inside A: success would have split A at the range start.
+  EXPECT_EQ(sim::kErrProt, w.kernel->Mprotect(p, a + sim::kPageSize, 2 * sim::kPageSize,
+                                              sim::Prot::kReadWrite));
+  EXPECT_EQ(entries, p->as->EntryCount());
+  EXPECT_EQ(sim::kErrProt, w.kernel->TouchWrite(p, a, 1, std::byte{1}));
+  EXPECT_EQ(sim::kErrProt, w.kernel->TouchWrite(p, a + sim::kPageSize, 1, std::byte{1}));
+  w.vm->CheckInvariants();
+}
+
 TEST_P(MapTest, UnmapMiddleLeavesEnds) {
   sim::Vaddr a = 0;
   ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, 6 * sim::kPageSize, kern::MapAttrs{}));

@@ -10,10 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "src/harness/dump.h"
 #include "src/harness/world.h"
 #include "src/phys/phys_mem.h"
 #include "src/sim/pressure.h"
+#include "src/sim/report.h"
 
 namespace {
 
@@ -184,7 +184,7 @@ PressureOutcome Collect(World& w, std::initializer_list<kern::Proc*> procs) {
   out.emergency_page_allocs = s.emergency_page_allocs;
   out.virtual_ns = w.machine.clock().now();
   std::ostringstream os;
-  kern::DumpPressureStats(os, w.machine);
+  sim::ReportStats(os, w.machine);
   out.report = os.str();
   return out;
 }
@@ -273,7 +273,7 @@ TEST_P(PressureTest, FaultingVictimObservesErrorInsteadOfCompleting) {
 }
 
 // Same scenario, two fresh worlds: every counter, the victim set, the
-// virtual clock, and the human-readable pressure report must agree exactly.
+// virtual clock, and the stats report must agree exactly.
 TEST_P(PressureTest, OutOfSwapKillIsDeterministic) {
   PressureOutcome a = RunLargestRssScenario(GetParam());
   PressureOutcome b = RunLargestRssScenario(GetParam());

@@ -1,6 +1,7 @@
 // Property test for the range operations on both VM systems: random
 // mmap(MAP_FIXED)/munmap/mprotect/minherit/mlock/munlock sequences over
-// ranges that cross entry boundaries and start, end or lie in holes, run
+// ranges that cross entry boundaries and start, end or lie in holes, some
+// of them mapped with a read-only max_prot that refuses mprotect rw, run
 // against a flat per-page reference model. After every operation each page
 // of the region is checked for accessibility (read and write), the pmap
 // wired bit and the frame's wire count; at the end a fork checks what the
@@ -31,6 +32,7 @@ struct PageModel {
   bool mapped = false;
   bool writable = true;
   bool inherit_none = false;
+  bool max_read = false;  // mapped with max_prot r: mprotect rw is refused
   int wired = 0;  // mlock nesting depth, as the entry's wired_count counts it
 };
 
@@ -69,10 +71,19 @@ TEST_P(RangeOpsPropertyTest, RandomRangeOpsMatchThePerPageModel) {
   Model model{};
   kern::MapAttrs fixed;
   fixed.fixed = true;
+  // The top third starts out as one max_prot r mapping.
+  constexpr std::uint64_t kMaxReadFrom = kPages * 2 / 3;
+  kern::MapAttrs max_read = fixed;
+  max_read.prot = sim::Prot::kRead;
+  max_read.max_prot = sim::Prot::kRead;
   sim::Vaddr a = kBase;
-  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, kPages * sim::kPageSize, fixed));
-  for (PageModel& m : model) {
-    m.mapped = true;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, kMaxReadFrom * sim::kPageSize, fixed));
+  a = PageVa(kMaxReadFrom);
+  ASSERT_EQ(sim::kOk,
+            w.kernel->MmapAnon(p, &a, (kPages - kMaxReadFrom) * sim::kPageSize, max_read));
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    bool capped = i >= kMaxReadFrom;
+    model[i] = PageModel{.mapped = true, .writable = !capped, .max_read = capped};
   }
 
   constexpr int kOps = 160;
@@ -91,13 +102,16 @@ TEST_P(RangeOpsPropertyTest, RandomRangeOpsMatchThePerPageModel) {
     std::string what;
     switch (rng.Below(6)) {
       case 0: {
-        what = "mmap";
+        bool capped = rng.Below(4) == 0;
+        what = capped ? "mmap max r" : "mmap";
         bool any = std::any_of(model.begin() + lo, model.begin() + lo + n,
                                [](const PageModel& m) { return m.mapped; });
         sim::Vaddr at = va;
-        ASSERT_EQ(any ? sim::kErrExist : sim::kOk, w.kernel->MmapAnon(p, &at, len, fixed));
+        ASSERT_EQ(any ? sim::kErrExist : sim::kOk,
+                  w.kernel->MmapAnon(p, &at, len, capped ? max_read : fixed));
         if (!any) {
-          std::fill(model.begin() + lo, model.begin() + lo + n, PageModel{.mapped = true});
+          std::fill(model.begin() + lo, model.begin() + lo + n,
+                    PageModel{.mapped = true, .writable = !capped, .max_read = capped});
         }
         break;
       }
@@ -109,9 +123,14 @@ TEST_P(RangeOpsPropertyTest, RandomRangeOpsMatchThePerPageModel) {
       case 2: {
         bool rw = rng.Below(2) == 0;
         what = rw ? "mprotect rw" : "mprotect r";
-        ASSERT_EQ(sim::kOk, w.kernel->Mprotect(p, va, len,
-                                               rw ? sim::Prot::kReadWrite : sim::Prot::kRead));
-        range([&](PageModel& m) { m.writable = rw; });
+        // All or nothing: one refusing page leaves the whole range as it was.
+        bool refused = rw && std::any_of(model.begin() + lo, model.begin() + lo + n,
+                                         [](const PageModel& m) { return m.max_read; });
+        ASSERT_EQ(refused ? sim::kErrProt : sim::kOk,
+                  w.kernel->Mprotect(p, va, len, rw ? sim::Prot::kReadWrite : sim::Prot::kRead));
+        if (!refused) {
+          range([&](PageModel& m) { m.writable = rw; });
+        }
         break;
       }
       case 3: {

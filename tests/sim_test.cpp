@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "src/harness/dump.h"
 #include "src/harness/world.h"
@@ -62,11 +63,11 @@ TEST(ProtTest, BitOperations) {
 }
 
 TEST(ErrorNameTest, KnownAndUnknown) {
-  EXPECT_STREQ("OK", sim::ErrorName(sim::kOk));
-  EXPECT_STREQ("EFAULT", sim::ErrorName(sim::kErrFault));
-  EXPECT_STREQ("ENOMEM", sim::ErrorName(sim::kErrNoMem));
-  EXPECT_STREQ("EMAPENTRYPOOL", sim::ErrorName(sim::kErrMapEntryPool));
-  EXPECT_STREQ("E???", sim::ErrorName(999));
+  EXPECT_STREQ("OK", sim::ErrName(sim::kOk));
+  EXPECT_STREQ("EFAULT", sim::ErrName(sim::kErrFault));
+  EXPECT_STREQ("ENOMEM", sim::ErrName(sim::kErrNoMem));
+  EXPECT_STREQ("EMAPENTRYPOOL", sim::ErrName(sim::kErrMapEntryPool));
+  EXPECT_STREQ("E???", sim::ErrName(999));
 }
 
 TEST(RngTest, DeterministicPerSeed) {
@@ -96,13 +97,13 @@ TEST(RngTest, BoundsRespected) {
 
 TEST(StatsTest, ResetClearsEverything) {
   sim::Stats s;
-  s.faults = 10;
-  s.swap_ops = 3;
-  s.leaked_pages_detected = 1;
+  for (std::size_t i = 0; i < sim::kNumStats; ++i) {
+    s.*sim::kStatFields[i] = i + 1;
+  }
   s.Reset();
-  EXPECT_EQ(0u, s.faults);
-  EXPECT_EQ(0u, s.swap_ops);
-  EXPECT_EQ(0u, s.leaked_pages_detected);
+  for (std::size_t i = 0; i < sim::kNumStats; ++i) {
+    EXPECT_EQ(0u, s.*sim::kStatFields[i]) << sim::kStatNames[i];
+  }
 }
 
 TEST(ReportTest, StatsReportMentionsKeyCounters) {
@@ -111,11 +112,30 @@ TEST(ReportTest, StatsReportMentionsKeyCounters) {
   m.stats().swap_ops = 2;
   std::ostringstream os;
   sim::ReportStats(os, m);
-  EXPECT_NE(std::string::npos, os.str().find("faults:       5"));
-  std::ostringstream line;
-  sim::ReportIoLine(line, m);
-  EXPECT_NE(std::string::npos, line.str().find("faults=5"));
-  EXPECT_NE(std::string::npos, line.str().find("swap_ops=2"));
+  EXPECT_EQ(0u, os.str().find("virtual time: 0.000000 s\nfaults 5\n"));
+  EXPECT_NE(std::string::npos, os.str().find("\nswap_ops 2\n"));
+  EXPECT_NE(std::string::npos, os.str().find("\ncost breakdown"));
+}
+
+// Every counter in the list gets exactly one report line of its own,
+// carrying its own value, in list order.
+TEST(ReportTest, StatsReportCoversEveryCounter) {
+  sim::Machine m;
+  for (std::size_t i = 0; i < sim::kNumStats; ++i) {
+    m.stats().*sim::kStatFields[i] = 1000 + i;
+  }
+  std::ostringstream os;
+  sim::ReportStats(os, m);
+  std::istringstream in(os.str());
+  std::string line;
+  std::getline(in, line);
+  EXPECT_EQ(0u, line.find("virtual time: "));
+  for (std::size_t i = 0; i < sim::kNumStats; ++i) {
+    ASSERT_TRUE(std::getline(in, line));
+    EXPECT_EQ(std::string(sim::kStatNames[i]) + " " + std::to_string(1000 + i), line);
+  }
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(0u, line.find("cost breakdown"));
 }
 
 TEST(DumpTest, BothSystemsProduceStructureDumps) {

@@ -13,8 +13,8 @@
 #include <sstream>
 #include <vector>
 
-#include "src/harness/dump.h"
 #include "src/harness/world.h"
+#include "src/sim/report.h"
 #include "src/sim/rng.h"
 
 namespace {
@@ -47,7 +47,7 @@ struct SoakOutcome {
 
 std::string Describe(const World& w) {
   std::ostringstream os;
-  kern::DumpRecoveryStats(os, w.machine);
+  sim::ReportStats(os, w.machine);
   return os.str();
 }
 
