@@ -10,17 +10,9 @@
 
 namespace bsdvm {
 
-namespace {
-constexpr sim::Vaddr kUserMin = 0x0000'1000;
-constexpr sim::Vaddr kUserMax = 0xB000'0000;
-constexpr sim::Vaddr kKernMin = 0xC000'0000;
-constexpr sim::Vaddr kKernMax = 0x1'0000'0000;
-constexpr std::size_t kUPages = 2;       // u-area size
-constexpr std::size_t kKStackPages = 2;  // kernel stack size
-}  // namespace
-
 BsdAddressSpace::BsdAddressSpace(BsdVm& vm, bool is_kernel)
-    : map_(vm.machine(), is_kernel ? kKernMin : kUserMin, is_kernel ? kKernMax : kUserMax,
+    : map_(vm.machine(), is_kernel ? BsdVm::kKernMin : BsdVm::kUserMin,
+           is_kernel ? BsdVm::kKernMax : BsdVm::kUserMax,
            is_kernel ? vm.config_.kernel_map_entries : 0, &vm.map_entry_pool_,
            is_kernel ? "bsd.kmap" : "bsd.map"),
       pmap_(
@@ -61,8 +53,7 @@ BsdAddressSpace::BsdAddressSpace(BsdVm& vm, bool is_kernel)
 
 BsdVm::BsdVm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu,
              vfs::VnodeCache& vnodes, swp::SwapDevice& swap, const BsdConfig& config)
-    : machine_(machine),
-      pm_(pm),
+    : MapVm(machine, pm),
       mmu_(mmu),
       vnodes_(vnodes),
       swap_(swap),
@@ -116,16 +107,6 @@ BsdVm::~BsdVm() {
   }
   SIM_ASSERT_MSG(all_objects_.empty(), "BsdVm destroyed with live objects");
   machine_.auditor().Unregister(audit_token_);
-}
-
-kern::AddressSpace* BsdVm::CreateAddressSpace() {
-  return new BsdAddressSpace(*this, /*is_kernel=*/false);
-}
-
-void BsdVm::DestroyAddressSpace(kern::AddressSpace* as_) {
-  auto* as = static_cast<BsdAddressSpace*>(as_);
-  Unmap(*as, kUserMin, kUserMax - kUserMin);
-  delete as;
 }
 
 // ---------------------------------------------------------------------------
@@ -549,41 +530,9 @@ int BsdVm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   return err;
 }
 
-int BsdVm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
+int BsdVm::Protect(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
   sim::ChargeScope scope(machine_, sim::CostCat::kMap, "bsd_protect");
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  sim::Vaddr end = addr + sim::PageRound(len);
-  // All or nothing, like vm_map_protect: refuse before anything changes.
-  if (!as.map_.AllInRange(addr, end, [&](const MapEntry& e) {
-        return sim::ProtIncludes(e.max_prot, prot);
-      })) {
-    return sim::kErrProt;
-  }
-  return as.map_.WalkRange(addr, end, DupRefs{this}, [&](VmMap::iterator it) {
-    it->prot = prot;
-    as.pmap_.IntersectProtRange(it->start, it->end, prot);
-    return sim::kOk;
-  });
-}
-
-int BsdVm::SetInherit(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
-                      sim::Inherit inherit) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
-                           [&](VmMap::iterator it) {
-                             it->inherit = inherit;
-                             return sim::kOk;
-                           });
-}
-
-int BsdVm::SetAdvice(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
-                     sim::Advice advice) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
-                           [&](VmMap::iterator it) {
-                             it->advice = advice;
-                             return sim::kOk;
-                           });
+  return MapVm::Protect(as, addr, len, prot);
 }
 
 int BsdVm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
@@ -594,10 +543,7 @@ int BsdVm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   VmMap& map = as.map_;
   map.Lock();
   int rc = sim::kOk;
-  for (auto& e : map.entries()) {
-    if (e.end <= addr || e.start >= end) {
-      continue;
-    }
+  map.ForEachOverlap(addr, end, [&](MapEntry& e, sim::Vaddr lo, sim::Vaddr hi) {
     // Walk the chain to the vnode object, flushing its dirty pages in the
     // affected index range — one page per I/O operation.
     VmObject* obj = e.object;
@@ -607,10 +553,8 @@ int BsdVm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
       obj = obj->shadow;
     }
     if (obj == nullptr || obj->pager == nullptr) {
-      continue;
+      return;
     }
-    sim::Vaddr lo = std::max(e.start, addr);
-    sim::Vaddr hi = std::min(e.end, end);
     for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
       std::uint64_t pgi = pgoff + ((va - e.start) >> sim::kPageShift);
       phys::Page* p = obj->LookupPage(pgi);
@@ -625,7 +569,7 @@ int BsdVm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
         }
       }
     }
-  }
+  });
   map.Unlock();
   return rc;
 }
@@ -636,120 +580,43 @@ int BsdVm::MadvFree(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len)
   sim::Vaddr end = addr + len;
   VmMap& map = as.map_;
   map.Lock();
-  for (MapEntry& e : map.entries()) {
-    if (e.end <= addr || e.start >= end) {
-      continue;
-    }
+  map.ForEachOverlap(addr, end, [&](MapEntry& e, sim::Vaddr lo, sim::Vaddr hi) {
     // Only a privately held, chain-less anonymous object can be discarded
     // safely (anything deeper would "reveal" stale chain data).
     VmObject* obj = e.object;
     if (obj == nullptr || !obj->internal_ || obj->ref_count != 1 || obj->shadow != nullptr) {
-      continue;
+      return;
     }
-    sim::Vaddr lo = std::max(e.start, addr);
-    sim::Vaddr hi = std::min(e.end, end);
     for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
       std::uint64_t pgi = e.PageIndexOf(va);
-      phys::Page* p = obj->LookupPage(pgi);
-      if (p != nullptr && p->wire_count == 0 && p->loan_count == 0 && !p->busy) {
+      if (phys::Page* p = obj->LookupPage(pgi); p != nullptr) {
+        if (p->wire_count > 0 || p->loan_count > 0 || p->busy) {
+          continue;  // kept resident: its swap copy stays the backing copy
+        }
         FreeObjectPage(p);
       }
       if (obj->pager != nullptr) {
         static_cast<SwapPager*>(obj->pager.get())->Invalidate(pgi);
       }
     }
-  }
+  });
   map.Unlock();
   return sim::kOk;
 }
 
-int BsdVm::Mincore(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
-                   std::vector<bool>* out) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  out->clear();
-  VmMap& map = as.map_;
-  map.Lock();
-  for (sim::Vaddr va = sim::PageTrunc(addr); va < addr + len; va += sim::kPageSize) {
-    auto it = map.LookupEntry(va);
-    if (it == map.entries().end()) {
-      map.Unlock();
-      return sim::kErrFault;
+phys::Page* BsdVm::LookupPage(MapEntry& e, sim::Vaddr va) {
+  std::uint64_t pgi = e.PageIndexOf(va);
+  for (VmObject* obj = e.object; obj != nullptr; obj = obj->shadow) {
+    if (phys::Page* p = obj->LookupPage(pgi); p != nullptr) {
+      return p;
     }
-    bool resident = false;
-    VmObject* obj = it->object;
-    std::uint64_t pgi = it->PageIndexOf(va);
-    while (obj != nullptr) {
-      if (obj->LookupPage(pgi) != nullptr) {
-        resident = true;
-        break;
-      }
-      pgi += obj->shadow_pgoffset;
-      obj = obj->shadow;
-    }
-    out->push_back(resident);
+    pgi += obj->shadow_pgoffset;
   }
-  map.Unlock();
-  return sim::kOk;
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------
 // Wiring (§3.2): everything goes through the map, fragmenting entries.
-
-int BsdVm::Wire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  VmMap& map = as.map_;
-  map.Lock();
-  // Unlike the other range ops, a range whose start is unmapped fails
-  // (EFAULT) before anything changes.
-  bool mapped = false;
-  auto first = [&] {
-    VmMap::iterator it = map.LookupEntry(addr);
-    mapped = it != map.entries().end();
-    return it;
-  };
-  int err = map.WalkRangeLocked(addr, end, first, DupRefs{this}, [&](VmMap::iterator it) {
-    if (++it->wired_count > 1) {
-      return sim::kOk;
-    }
-    sim::Vaddr estart = it->start;
-    sim::Access acc = sim::CanWrite(it->prot) ? sim::Access::kWrite : sim::Access::kRead;
-    for (sim::Vaddr va = estart; va < it->end; va += sim::kPageSize) {
-      auto pte = as.pmap_.Extract(va);
-      if (!pte.has_value()) {
-        // The entry is already marked wired, so the fault wires the page.
-        if (int ferr = FaultWithMapLocked(as, va, acc); ferr != sim::kOk) {
-          return ferr;
-        }
-        pte = as.pmap_.Extract(va);
-        SIM_ASSERT(pte.has_value() && pte->wired);
-      } else if (!pte->wired) {
-        pm_.Wire(pm_.PageAt(pte->pfn));
-        as.pmap_.ChangeWiring(va, true);
-      }
-    }
-    // Re-find the entry after faulting (charged): a fault may sleep, and a
-    // real map can change underneath it.
-    VmMap::iterator again = map.LookupEntry(estart);
-    SIM_ASSERT(again == it);
-    return sim::kOk;
-  });
-  map.Unlock();
-  return err == sim::kOk && !mapped ? sim::kErrFault : err;
-}
-
-int BsdVm::Unwire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  sim::Vaddr end = sim::PageRound(addr + len);
-  return as.map_.WalkRange(sim::PageTrunc(addr), end, DupRefs{this}, [&](VmMap::iterator it) {
-    if (it->wired_count > 0 && --it->wired_count == 0) {
-      as.pmap_.UnwireRange(it->start, it->end);
-    }
-    return sim::kOk;
-  });
-}
 
 int BsdVm::WireTransient(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                          kern::TransientWiring* out) {
@@ -901,32 +768,6 @@ kern::AddressSpace* BsdVm::Fork(kern::AddressSpace& parent_) {
 
 // ---------------------------------------------------------------------------
 // Fault handling (§5.1): chain walk, COW promotion, collapse attempts.
-
-int BsdVm::Fault(kern::AddressSpace& as_, sim::Vaddr va, sim::Access access) {
-  sim::ChargeScope scope(machine_, sim::CostCat::kFault, "bsd_fault");
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  machine_.Charge(machine_.cost().fault_entry_ns);
-  ++machine_.stats().faults;
-  va = sim::PageTrunc(va);
-
-  VmMap& map = as.map_;
-  map.Lock();
-  int err = FaultBody(as, va, access);
-  map.Unlock();
-  return err;
-}
-
-int BsdVm::FaultWithMapLocked(BsdAddressSpace& as, sim::Vaddr va, sim::Access access) {
-  // The wire path faults pages in while it already holds the map lock; the
-  // map lock is not recursive (SimLock panics on re-entry), so this variant
-  // runs the identical fault sequence minus the lock round-trip.
-  SIM_ASSERT(as.map_.IsLocked());
-  sim::ChargeScope scope(machine_, sim::CostCat::kFault, "bsd_fault");
-  machine_.Charge(machine_.cost().fault_entry_ns);
-  ++machine_.stats().faults;
-  va = sim::PageTrunc(va);
-  return FaultBody(as, va, access);
-}
 
 // The locked section of the fault: the caller holds (and releases) the map
 // lock. Early error returns release nothing here, so virtual hold time is
@@ -1151,11 +992,6 @@ std::size_t BsdVm::Reclaim(phys::Page* p) {
 // ---------------------------------------------------------------------------
 // Introspection
 
-std::size_t BsdVm::ResidentPages(kern::AddressSpace& as_) const {
-  auto& as = static_cast<BsdAddressSpace&>(as_);
-  return as.pmap_.resident_count();
-}
-
 std::size_t BsdVm::AnonResidentPages(kern::AddressSpace& as_) const {
   auto& as = static_cast<BsdAddressSpace&>(as_);
   // Anonymous memory in BSD VM lives in internal (shadow/zero-fill) objects;
@@ -1209,8 +1045,6 @@ std::size_t BsdVm::MaxChainDepth(kern::AddressSpace& as_) const {
   }
   return deepest;
 }
-
-void BsdVm::CheckInvariants() { machine_.auditor().Enforce(audit_token_); }
 
 void BsdVm::AuditState(sim::Auditor& auditor) const {
   std::unordered_set<std::int32_t> seen_slots;

@@ -1,8 +1,9 @@
 // The BSD VM baseline system: the Mach-derived 4.4BSD virtual memory design
-// the paper replaces. Implements kern::VmSystem with shadow-object chains,
-// the collapse operation, the 100-entry object cache, two-step mapping
-// (establish with default attributes, then modify), single-lock unmap, map
-// fragmentation on every wiring, and one-page-at-a-time pageout I/O.
+// the paper replaces. Implements kern::VmSystem (over kern::MapVm's shared
+// syscall skeleton) with shadow-object chains, the collapse operation, the
+// 100-entry object cache, two-step mapping (establish with default
+// attributes, then modify), single-lock unmap, map fragmentation on every
+// wiring, and one-page-at-a-time pageout I/O.
 #ifndef SRC_BSDVM_BSD_VM_H_
 #define SRC_BSDVM_BSD_VM_H_
 
@@ -16,6 +17,7 @@
 #include "src/bsdvm/pagers.h"
 #include "src/bsdvm/vm_map.h"
 #include "src/bsdvm/vm_object.h"
+#include "src/vm/map_vm.h"
 #include "src/vm/vm_iface.h"
 #include "src/mmu/pmap.h"
 #include "src/phys/pagedaemon.h"
@@ -40,6 +42,7 @@ class BsdAddressSpace : public kern::AddressSpace {
 
  private:
   friend class BsdVm;
+  friend class kern::MapVm<BsdVm, BsdAddressSpace>;
   VmMap map_;
   // BSD VM mirrors each page-table page into the kernel map (§3.2); this
   // records which kernel-map entry belongs to which PT page for teardown.
@@ -54,7 +57,7 @@ struct BsdConfig {
   kern::VmTuning tuning;                  // shared pageout-retry policy
 };
 
-class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
+class BsdVm : public kern::MapVm<BsdVm, BsdAddressSpace>, private phys::PageoutHooks {
  public:
   BsdVm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu, vfs::VnodeCache& vnodes,
         swp::SwapDevice& swap, const BsdConfig& config = BsdConfig{});
@@ -62,8 +65,6 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
 
   const char* name() const override { return "bsdvm"; }
 
-  kern::AddressSpace* CreateAddressSpace() override;
-  void DestroyAddressSpace(kern::AddressSpace* as) override;
   kern::AddressSpace* Fork(kern::AddressSpace& parent) override;
   kern::AddressSpace& kernel_as() override { return *kernel_as_; }
 
@@ -72,19 +73,12 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
   int MapDevice(kern::AddressSpace& as, sim::Vaddr* addr, kern::DeviceMem& dev,
                 const kern::MapAttrs& attrs) override;
   int Unmap(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
+  // The shared all-or-nothing walk, inside a `bsd_protect` cost scope.
   int Protect(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
               sim::Prot prot) override;
-  int SetInherit(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
-                 sim::Inherit inherit) override;
-  int SetAdvice(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
-                sim::Advice advice) override;
   int Msync(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
   int MadvFree(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
-  int Mincore(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
-              std::vector<bool>* out) override;
 
-  int Wire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
-  int Unwire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
   int WireTransient(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                     kern::TransientWiring* out) override;
   void UnwireTransient(kern::AddressSpace& as, kern::TransientWiring& tw) override;
@@ -94,15 +88,11 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
   void SwapOutProcResources(kern::ProcKernelResources& res) override;
   void SwapInProcResources(kern::ProcKernelResources& res) override;
 
-  int Fault(kern::AddressSpace& as, sim::Vaddr addr, sim::Access access) override;
-
   std::size_t PageDaemon(std::size_t target_free) override;
 
   std::size_t KernelMapEntries() const override { return kernel_as_->EntryCount(); }
-  std::size_t ResidentPages(kern::AddressSpace& as) const override;
   std::size_t AnonResidentPages(kern::AddressSpace& as) const override;
   const kern::VmTuning& tuning() const override { return config_.tuning; }
-  void CheckInvariants() override;
 
   // --- BSD-specific introspection used by tests and benches ---
   std::size_t object_cache_size() const { return object_cache_.size(); }
@@ -114,10 +104,9 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
   // Longest shadow chain below any entry of `as`.
   std::size_t MaxChainDepth(kern::AddressSpace& as) const;
 
-  sim::Machine& machine() { return machine_; }
-
  private:
   friend class BsdAddressSpace;
+  friend class kern::MapVm<BsdVm, BsdAddressSpace>;
 
   VmObject* NewObject(std::size_t size_pages, bool internal);
   // Swap pagers share the VM-wide swap-block slab.
@@ -153,10 +142,13 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
   // invariants, page back-pointers, swap-slot ownership.
   void AuditState(sim::Auditor& auditor) const;
 
-  // Fault() minus the map lock round-trip, for callers (the wire path) that
-  // already hold the map lock; FaultBody is the shared locked section.
-  int FaultWithMapLocked(BsdAddressSpace& as, sim::Vaddr va, sim::Access access);
+  static constexpr const char* kFaultLabel = "bsd_fault";
+  // The locked section of a fault (kern::MapVm's fault entry holds the map
+  // lock around it).
   int FaultBody(BsdAddressSpace& as, sim::Vaddr va, sim::Access access);
+  // The page currently backing `va` in `e`, resident only: the first hit
+  // walking the entry's shadow chain from the top (mincore).
+  static phys::Page* LookupPage(MapEntry& e, sim::Vaddr va);
 
   // The range walker's split hook (sim::AddrMap::WalkRange): both halves
   // of a clipped entry share its object, so each split takes a reference.
@@ -165,8 +157,6 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
     void operator()(MapEntry& e) const;
   };
 
-  sim::Machine& machine_;
-  phys::PhysMem& pm_;
   mmu::MmuContext& mmu_;
   vfs::VnodeCache& vnodes_;
   swp::SwapDevice& swap_;
@@ -201,7 +191,6 @@ class BsdVm : public kern::VmSystem, private phys::PageoutHooks {
   // registry (BSD's device pager kept the pages for the device lifetime).
   std::unordered_map<kern::DeviceMem*, VmObject*> device_objects_;
   sim::Vaddr kernel_alloc_hint_ = 0;
-  int audit_token_ = 0;
 };
 
 }  // namespace bsdvm

@@ -9,17 +9,9 @@
 
 namespace uvm {
 
-namespace {
-constexpr sim::Vaddr kUserMin = 0x0000'1000;
-constexpr sim::Vaddr kUserMax = 0xB000'0000;
-constexpr sim::Vaddr kKernMin = 0xC000'0000;
-constexpr sim::Vaddr kKernMax = 0x1'0000'0000;
-constexpr std::size_t kUPages = 2;
-constexpr std::size_t kKStackPages = 2;
-}  // namespace
-
 UvmAddressSpace::UvmAddressSpace(Uvm& vm, bool is_kernel)
-    : map_(vm.machine(), is_kernel ? kKernMin : kUserMin, is_kernel ? kKernMax : kUserMax,
+    : map_(vm.machine(), is_kernel ? Uvm::kKernMin : Uvm::kUserMin,
+           is_kernel ? Uvm::kKernMax : Uvm::kUserMax,
            is_kernel ? vm.config().kernel_map_entries : 0, &vm.map_entry_pool_,
            is_kernel ? "uvm.kmap" : "uvm.map"),
       // UVM: the wired state of page-table pages lives only in the pmap
@@ -28,8 +20,7 @@ UvmAddressSpace::UvmAddressSpace(Uvm& vm, bool is_kernel)
 
 Uvm::Uvm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu, vfs::VnodeCache& vnodes,
          swp::SwapDevice& swap, const UvmConfig& config)
-    : machine_(machine),
-      pm_(pm),
+    : MapVm(machine, pm),
       mmu_(mmu),
       vnodes_(vnodes),
       swap_(swap),
@@ -93,16 +84,6 @@ Uvm::~Uvm() {
   SIM_ASSERT_MSG(all_amaps_.empty(), "Uvm destroyed with live amaps");
   machine_.auditor().Unregister(audit_token_);
   pm_.RemovePoisonHook(poison_hook_token_);
-}
-
-kern::AddressSpace* Uvm::CreateAddressSpace() {
-  return new UvmAddressSpace(*this, /*is_kernel=*/false);
-}
-
-void Uvm::DestroyAddressSpace(kern::AddressSpace* as_) {
-  auto* as = static_cast<UvmAddressSpace*>(as_);
-  Unmap(*as, kUserMin, kUserMax - kUserMin);
-  delete as;
 }
 
 // ---------------------------------------------------------------------------
@@ -413,42 +394,6 @@ int Uvm::Unmap(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   return err;
 }
 
-int Uvm::Protect(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len, sim::Prot prot) {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  sim::Vaddr end = addr + sim::PageRound(len);
-  // All or nothing, like uvm_map_protect: refuse before anything changes.
-  if (!as.map_.AllInRange(addr, end, [&](const UvmMapEntry& e) {
-        return sim::ProtIncludes(e.max_prot, prot);
-      })) {
-    return sim::kErrProt;
-  }
-  return as.map_.WalkRange(addr, end, DupRefs{this}, [&](UvmMap::iterator it) {
-    it->prot = prot;
-    as.pmap_.IntersectProtRange(it->start, it->end, prot);
-    return sim::kOk;
-  });
-}
-
-int Uvm::SetInherit(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
-                    sim::Inherit inherit) {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
-                           [&](UvmMap::iterator it) {
-                             it->inherit = inherit;
-                             return sim::kOk;
-                           });
-}
-
-int Uvm::SetAdvice(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
-                   sim::Advice advice) {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  return as.map_.WalkRange(addr, addr + sim::PageRound(len), DupRefs{this},
-                           [&](UvmMap::iterator it) {
-                             it->advice = advice;
-                             return sim::kOk;
-                           });
-}
-
 int Uvm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   sim::ChargeScope scope(machine_, sim::CostCat::kPageout, "uvm_msync");
   auto& as = static_cast<UvmAddressSpace&>(as_);
@@ -465,13 +410,11 @@ int Uvm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
       rc = err;
     }
   };
-  for (UvmMapEntry& e : map.entries()) {
-    if (e.end <= addr || e.start >= end || e.uobj == nullptr) {
-      continue;
+  map.ForEachOverlap(addr, end, [&](UvmMapEntry& e, sim::Vaddr lo, sim::Vaddr hi) {
+    if (e.uobj == nullptr) {
+      return;
     }
     // Flush dirty object pages in clustered contiguous runs.
-    sim::Vaddr lo = std::max(e.start, addr);
-    sim::Vaddr hi = std::min(e.end, end);
     std::vector<phys::Page*> run;
     std::uint64_t prev = 0;
     for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
@@ -491,7 +434,7 @@ int Uvm::Msync(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
     if (!run.empty()) {
       put(e, run);
     }
-  }
+  });
   map.Unlock();
   return rc;
 }
@@ -502,17 +445,12 @@ int Uvm::MadvFree(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
   sim::Vaddr end = addr + len;
   UvmMap& map = as.map_;
   map.Lock();
-  for (UvmMapEntry& e : map.entries()) {
-    if (e.end <= addr || e.start >= end) {
-      continue;
-    }
+  map.ForEachOverlap(addr, end, [&](UvmMapEntry& e, sim::Vaddr lo, sim::Vaddr hi) {
     // Only a privately held anonymous layer can be discarded safely: a
     // shared or needs-copy amap is visible to other entries.
     if (e.amap == nullptr || e.amap->ref_count != 1 || e.amap->shared || e.needs_copy) {
-      continue;
+      return;
     }
-    sim::Vaddr lo = std::max(e.start, addr);
-    sim::Vaddr hi = std::min(e.end, end);
     for (sim::Vaddr va = lo; va < hi; va += sim::kPageSize) {
       std::uint64_t slot = e.SlotOf(va);
       Anon* a = e.amap->Get(slot);
@@ -526,99 +464,13 @@ int Uvm::MadvFree(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
       as.pmap_.Remove(va);
       DerefAnon(a);
     }
-  }
-  map.Unlock();
-  return sim::kOk;
-}
-
-int Uvm::Mincore(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
-                 std::vector<bool>* out) {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  len = sim::PageRound(len);
-  out->clear();
-  UvmMap& map = as.map_;
-  map.Lock();
-  for (sim::Vaddr va = sim::PageTrunc(addr); va < addr + len; va += sim::kPageSize) {
-    auto it = map.LookupEntry(va);
-    if (it == map.entries().end()) {
-      map.Unlock();
-      return sim::kErrFault;
-    }
-    bool resident = false;
-    if (it->amap != nullptr) {
-      Anon* a = it->amap->Get(it->SlotOf(va));
-      if (a != nullptr) {
-        resident = a->page != nullptr;
-      } else if (it->uobj != nullptr) {
-        resident = it->uobj->LookupPage(it->ObjIndexOf(va)) != nullptr;
-      }
-    } else if (it->uobj != nullptr) {
-      resident = it->uobj->LookupPage(it->ObjIndexOf(va)) != nullptr;
-    }
-    out->push_back(resident);
-  }
+  });
   map.Unlock();
   return sim::kOk;
 }
 
 // ---------------------------------------------------------------------------
 // Wiring (§3.2)
-
-int Uvm::Wire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
-  // mlock(2): the one wiring case that must live in the map (§3.2).
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  sim::Vaddr end = sim::PageRound(addr + len);
-  addr = sim::PageTrunc(addr);
-  UvmMap& map = as.map_;
-  map.Lock();
-  // Unlike the other range ops, a range whose start is unmapped fails
-  // (EFAULT) before anything changes.
-  bool mapped = false;
-  auto first = [&] {
-    UvmMap::iterator it = map.LookupEntry(addr);
-    mapped = it != map.entries().end();
-    return it;
-  };
-  int err = map.WalkRangeLocked(addr, end, first, DupRefs{this}, [&](UvmMap::iterator it) {
-    if (++it->wired_count > 1) {
-      return sim::kOk;
-    }
-    sim::Vaddr estart = it->start;
-    sim::Access acc = sim::CanWrite(it->prot) ? sim::Access::kWrite : sim::Access::kRead;
-    for (sim::Vaddr va = estart; va < it->end; va += sim::kPageSize) {
-      auto pte = as.pmap_.Extract(va);
-      if (!pte.has_value()) {
-        // The entry is already marked wired, so the fault wires the page.
-        if (int ferr = FaultWithMapLocked(as, va, acc); ferr != sim::kOk) {
-          return ferr;
-        }
-        pte = as.pmap_.Extract(va);
-        SIM_ASSERT(pte.has_value() && pte->wired);
-      } else if (!pte->wired) {
-        pm_.Wire(pm_.PageAt(pte->pfn));
-        as.pmap_.ChangeWiring(va, true);
-      }
-    }
-    // Re-find the entry after faulting (charged): a fault may sleep, and a
-    // real map can change underneath it.
-    UvmMap::iterator again = map.LookupEntry(estart);
-    SIM_ASSERT(again == it);
-    return sim::kOk;
-  });
-  map.Unlock();
-  return err == sim::kOk && !mapped ? sim::kErrFault : err;
-}
-
-int Uvm::Unwire(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len) {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  sim::Vaddr end = sim::PageRound(addr + len);
-  return as.map_.WalkRange(sim::PageTrunc(addr), end, DupRefs{this}, [&](UvmMap::iterator it) {
-    if (it->wired_count > 0 && --it->wired_count == 0) {
-      as.pmap_.UnwireRange(it->start, it->end);
-    }
-    return sim::kOk;
-  });
-}
 
 int Uvm::WireTransient(kern::AddressSpace& as_, sim::Vaddr addr, std::uint64_t len,
                        kern::TransientWiring* out) {
@@ -1242,32 +1094,6 @@ void Uvm::MapNeighbors(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr fault_va)
   }
 }
 
-int Uvm::Fault(kern::AddressSpace& as_, sim::Vaddr va, sim::Access access) {
-  sim::ChargeScope scope(machine_, sim::CostCat::kFault, "uvm_fault");
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  machine_.Charge(machine_.cost().fault_entry_ns);
-  ++machine_.stats().faults;
-  va = sim::PageTrunc(va);
-
-  UvmMap& map = as.map_;
-  map.Lock();
-  int err = FaultBody(as, va, access);
-  map.Unlock();
-  return err;
-}
-
-int Uvm::FaultWithMapLocked(UvmAddressSpace& as, sim::Vaddr va, sim::Access access) {
-  // The wire path faults pages in while it already holds the map lock; the
-  // map lock is not recursive (SimLock panics on re-entry), so this variant
-  // runs the identical fault sequence minus the lock round-trip.
-  SIM_ASSERT(as.map_.IsLocked());
-  sim::ChargeScope scope(machine_, sim::CostCat::kFault, "uvm_fault");
-  machine_.Charge(machine_.cost().fault_entry_ns);
-  ++machine_.stats().faults;
-  va = sim::PageTrunc(va);
-  return FaultBody(as, va, access);
-}
-
 int Uvm::FaultBody(UvmAddressSpace& as, sim::Vaddr va, sim::Access access) {
   UvmMap& map = as.map_;
   auto it = map.LookupEntry(va);
@@ -1446,7 +1272,7 @@ std::size_t Uvm::Reclaim(phys::Page* p) {
 // ---------------------------------------------------------------------------
 // Data movement (§7)
 
-phys::Page* Uvm::ResidentPageAt(UvmMapEntry& e, sim::Vaddr va) const {
+phys::Page* Uvm::LookupPage(UvmMapEntry& e, sim::Vaddr va) {
   if (e.amap != nullptr) {
     Anon* a = e.amap->Get(e.SlotOf(va));
     if (a != nullptr) {
@@ -1474,7 +1300,7 @@ int Uvm::Loan(kern::AddressSpace& as_, sim::Vaddr va, std::size_t npages,
       map.Unlock();
       break;
     }
-    phys::Page* page = ResidentPageAt(*it, pva);
+    phys::Page* page = LookupPage(*it, pva);
     if (page == nullptr) {
       map.Unlock();
       if (Fault(as, pva, sim::Access::kRead) != sim::kOk) {
@@ -1483,7 +1309,7 @@ int Uvm::Loan(kern::AddressSpace& as_, sim::Vaddr va, std::size_t npages,
       map.Lock();
       it = map.LookupEntry(pva);
       SIM_ASSERT(it != map.entries().end());
-      page = ResidentPageAt(*it, pva);
+      page = LookupPage(*it, pva);
       SIM_ASSERT(page != nullptr);
     }
     // Loan the page to the kernel: wired, read-only everywhere, COW
@@ -1677,11 +1503,6 @@ int Uvm::Extract(kern::AddressSpace& src_, sim::Vaddr src_va, std::uint64_t len,
 // ---------------------------------------------------------------------------
 // Introspection
 
-std::size_t Uvm::ResidentPages(kern::AddressSpace& as_) const {
-  auto& as = static_cast<UvmAddressSpace&>(as_);
-  return as.pmap_.resident_count();
-}
-
 std::size_t Uvm::AnonResidentPages(kern::AddressSpace& as_) const {
   auto& as = static_cast<UvmAddressSpace&>(as_);
   std::size_t n = 0;
@@ -1698,8 +1519,6 @@ std::size_t Uvm::AnonResidentPages(kern::AddressSpace& as_) const {
   }
   return n;
 }
-
-void Uvm::CheckInvariants() { machine_.auditor().Enforce(audit_token_); }
 
 void Uvm::AuditState(sim::Auditor& auditor) const {
   // Count amap->anon references; at a quiescent point every anon reference

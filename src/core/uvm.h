@@ -1,5 +1,5 @@
 // UVM itself (§2–§7): the paper's virtual memory system. Implements
-// kern::VmSystem with:
+// kern::VmSystem (over kern::MapVm's shared syscall skeleton) with:
 //  - single-step secure mapping and two-phase unmap (§3.1),
 //  - wiring that stays out of the map for all transient cases (§3.2),
 //  - embedded memory objects with pager-routed lifetime (§4),
@@ -23,6 +23,7 @@
 #include "src/core/amap.h"
 #include "src/core/uvm_map.h"
 #include "src/core/uvm_object.h"
+#include "src/vm/map_vm.h"
 #include "src/vm/vm_iface.h"
 #include "src/mmu/pmap.h"
 #include "src/phys/pagedaemon.h"
@@ -47,6 +48,7 @@ class UvmAddressSpace : public kern::AddressSpace {
 
  private:
   friend class Uvm;
+  friend class kern::MapVm<Uvm, UvmAddressSpace>;
   UvmMap map_;
   mmu::Pmap pmap_;
 };
@@ -76,7 +78,7 @@ struct UvmConfig {
   kern::VmTuning tuning;  // shared pageout-retry policy
 };
 
-class Uvm : public kern::VmSystem, private phys::PageoutHooks {
+class Uvm : public kern::MapVm<Uvm, UvmAddressSpace>, private phys::PageoutHooks {
  public:
   Uvm(sim::Machine& machine, phys::PhysMem& pm, mmu::MmuContext& mmu, vfs::VnodeCache& vnodes,
       swp::SwapDevice& swap, const UvmConfig& config = UvmConfig{});
@@ -84,8 +86,6 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
 
   const char* name() const override { return "uvm"; }
 
-  kern::AddressSpace* CreateAddressSpace() override;
-  void DestroyAddressSpace(kern::AddressSpace* as) override;
   kern::AddressSpace* Fork(kern::AddressSpace& parent) override;
   kern::AddressSpace& kernel_as() override { return *kernel_as_; }
 
@@ -94,19 +94,9 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
   int MapDevice(kern::AddressSpace& as, sim::Vaddr* addr, kern::DeviceMem& dev,
                 const kern::MapAttrs& attrs) override;
   int Unmap(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
-  int Protect(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
-              sim::Prot prot) override;
-  int SetInherit(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
-                 sim::Inherit inherit) override;
-  int SetAdvice(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
-                sim::Advice advice) override;
   int Msync(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
   int MadvFree(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
-  int Mincore(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
-              std::vector<bool>* out) override;
 
-  int Wire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
-  int Unwire(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len) override;
   int WireTransient(kern::AddressSpace& as, sim::Vaddr addr, std::uint64_t len,
                     kern::TransientWiring* out) override;
   void UnwireTransient(kern::AddressSpace& as, kern::TransientWiring& tw) override;
@@ -115,8 +105,6 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
   void FreeProcResources(kern::ProcKernelResources& res) override;
   void SwapOutProcResources(kern::ProcKernelResources& res) override;
   void SwapInProcResources(kern::ProcKernelResources& res) override;
-
-  int Fault(kern::AddressSpace& as, sim::Vaddr addr, sim::Access access) override;
 
   std::size_t PageDaemon(std::size_t target_free) override;
 
@@ -129,10 +117,8 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
               kern::AddressSpace& dst, sim::Vaddr* dst_va, kern::ExtractMode mode) override;
 
   std::size_t KernelMapEntries() const override { return kernel_as_->EntryCount(); }
-  std::size_t ResidentPages(kern::AddressSpace& as) const override;
   std::size_t AnonResidentPages(kern::AddressSpace& as) const override;
   const kern::VmTuning& tuning() const override { return config_.tuning; }
-  void CheckInvariants() override;
 
   // --- UVM-specific introspection ---
   // One anon == one logical page of anonymous memory (resident or on swap).
@@ -140,7 +126,6 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
   std::size_t LiveAnons() const { return all_anons_.size(); }
   std::size_t LiveAmaps() const { return all_amaps_.size(); }
 
-  sim::Machine& machine() { return machine_; }
   phys::PhysMem& phys() { return pm_; }
   const UvmConfig& config() const { return config_; }
   // Slab storage for uvm-object page-store chunks (uvm_object.cc binds it
@@ -171,6 +156,7 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
  private:
   friend class UvmAddressSpace;
   friend class UvmVnode;
+  friend class kern::MapVm<Uvm, UvmAddressSpace>;
 
   // --- anon/amap management ---
   Anon* NewAnon();
@@ -189,9 +175,9 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
   void DetachObject(UvmObject* obj);
 
   // --- fault internals ---
-  // Fault() minus the map lock round-trip, for callers (the wire path) that
-  // already hold the map lock; FaultBody is the shared locked section.
-  int FaultWithMapLocked(UvmAddressSpace& as, sim::Vaddr va, sim::Access access);
+  static constexpr const char* kFaultLabel = "uvm_fault";
+  // The locked section of a fault (kern::MapVm's fault entry holds the map
+  // lock around it).
   int FaultBody(UvmAddressSpace& as, sim::Vaddr va, sim::Access access);
   int FaultLocked(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr va, bool write);
   void MapNeighbors(UvmAddressSpace& as, UvmMapEntry& e, sim::Vaddr fault_va);
@@ -227,8 +213,9 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
   std::size_t PageOutAnonCluster(phys::Page* first);
   std::size_t PageOutObjectRun(phys::Page* first);
 
-  // Locate the page currently backing `va` in `e` (resident only).
-  phys::Page* ResidentPageAt(UvmMapEntry& e, sim::Vaddr va) const;
+  // The page currently backing `va` in `e`, resident only: the amap's anon
+  // if the slot has one, else the object's page (mincore, loan).
+  static phys::Page* LookupPage(UvmMapEntry& e, sim::Vaddr va);
 
   // --- hwpoison containment (DESIGN.md §13) ---
   // Machine-check response for UVM-owned state: break any outstanding loan
@@ -245,8 +232,6 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
   // agreement, swap-slot ownership, object page back-pointers.
   void AuditState(sim::Auditor& auditor) const;
 
-  sim::Machine& machine_;
-  phys::PhysMem& pm_;
   mmu::MmuContext& mmu_;
   vfs::VnodeCache& vnodes_;
   swp::SwapDevice& swap_;
@@ -277,7 +262,6 @@ class Uvm : public kern::VmSystem, private phys::PageoutHooks {
   std::uint64_t next_device_id_ = 0;
   std::function<void(phys::Page*)> loan_revoke_hook_;
   int poison_hook_token_ = 0;
-  int audit_token_ = 0;
 };
 
 }  // namespace uvm

@@ -68,8 +68,6 @@ struct Page {
   PageQueue queue = PageQueue::kNone;
   Page* q_next = nullptr;
   Page* q_prev = nullptr;
-
-  bool IsManaged() const { return owner_kind != OwnerKind::kNone; }
 };
 
 }  // namespace phys

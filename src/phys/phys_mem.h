@@ -69,7 +69,6 @@ class PhysMem {
   // Number of free pages below which callers should run the pagedaemon.
   std::size_t free_target() const { return free_target_; }
   void set_free_target(std::size_t n) { free_target_ = n; }
-  bool NeedsPageDaemon() const { return free_.size() < free_target_; }
 
   // Watermarks below the daemon target (both default 0 = disabled,
   // preserving historical behaviour byte-for-byte):

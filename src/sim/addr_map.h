@@ -221,6 +221,18 @@ class AddrMap {
     return true;
   }
 
+  // Host-side visitor (no charge, no stats, no clip): fn(entry, lo, hi) for
+  // each entry overlapping [start, end), in address order, where [lo, hi)
+  // is the overlap. For range ops that read or drop pages but leave the
+  // entry layout alone (msync, MADV_FREE).
+  template <typename Fn>
+  void ForEachOverlap(Vaddr start, Vaddr end, Fn&& fn) {
+    for (iterator it = Seek(start); start < end && it != entries_.end() && it->start < end;
+         ++it) {
+      fn(*it, std::max(it->start, start), std::min(it->end, end));
+    }
+  }
+
   // ---- Range operations (DESIGN.md §9 "Range operations") ----
   //
   // The one clip-and-visit loop behind every range op of both VMs. Each

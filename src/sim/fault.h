@@ -114,7 +114,6 @@ class FaultInjector {
     st = State{};
     st.plan = plan;
   }
-  void ClearPlan(IoDevice dev) { state_[Index(dev)] = State{}; }
   void Reseed(std::uint64_t seed) { rng_ = Rng(seed); }
 
   // Called by vfs::Disk for every operation. `blkno` is the device block

@@ -1,6 +1,6 @@
-// Global event counters. Reset between experiment runs; benches and tests
-// read these to report the paper's tables (fault counts, map-entry counts,
-// I/O operation counts). Each counter is declared once, in SIM_STATS; the
+// Global event counters. Benches and tests read these (diffing snapshots
+// around an experiment) to report the paper's tables (fault counts,
+// map-entry counts, I/O operation counts). Each counter is declared once, in SIM_STATS; the
 // fields, the name table and sim::ReportStats all come from that list.
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
@@ -99,8 +99,6 @@ struct Stats {
 #define SIM_STATS_FIELD(name) std::uint64_t name = 0;
   SIM_STATS(SIM_STATS_FIELD)
 #undef SIM_STATS_FIELD
-
-  void Reset() { *this = Stats{}; }
 };
 
 // Name and field of every counter, in list order.

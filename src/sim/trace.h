@@ -97,8 +97,6 @@ struct CostBreakdown {
     }
     return d;
   }
-
-  void Reset() { *this = CostBreakdown{}; }
 };
 
 enum class TraceEventKind : std::uint8_t { kSpanBegin, kSpanEnd, kInstant, kCounter };

@@ -1,7 +1,8 @@
 // Name-table completeness: every error code and every cost category must
-// have a real, distinct name. A code added to types.h without a matching
-// ErrorName case would silently print as "E???" in dumps and test failure
-// messages; this test turns that into a hard failure.
+// have a real, distinct name. Names come from the SIM_ERRORS and
+// SIM_COST_CATS lists, so a code defined outside its list would print as
+// "E???" in dumps and test failure messages; this test turns that into a
+// hard failure.
 #include <gtest/gtest.h>
 
 #include <set>

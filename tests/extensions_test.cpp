@@ -64,6 +64,34 @@ TEST_P(MadvFreeTest, DoesNotTouchSharedCowMemory) {
   w.vm->CheckInvariants();
 }
 
+TEST_P(MadvFreeTest, KeptWiredPageKeepsItsSwapCopy) {
+  // MADV_FREE leaves a wired page resident. If that page is clean (read
+  // back from swap), its swap copy is still the only backing copy: once
+  // the page is unwired and paged out again, a read must find the data.
+  WorldConfig cfg;
+  cfg.ram_pages = 64;
+  World w(GetParam(), cfg);
+  kern::Proc* p = w.kernel->Spawn();
+  // One page, so mlock covers the whole entry without clipping it.
+  sim::Vaddr a = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &a, sim::kPageSize, kern::MapAttrs{}));
+  sim::Vaddr filler = 0;
+  ASSERT_EQ(sim::kOk, w.kernel->MmapAnon(p, &filler, 40 * sim::kPageSize, kern::MapAttrs{}));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, filler, 40 * sim::kPageSize, std::byte{1}));
+  ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, a, sim::kPageSize, std::byte{0x5c}));
+  w.vm->PageDaemon(w.pm.total_pages());
+  std::vector<std::byte> b(1);
+  ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a, b));  // clean, back from swap
+  EXPECT_EQ(std::byte{0x5c}, b[0]);
+  ASSERT_EQ(sim::kOk, w.kernel->Mlock(p, a, sim::kPageSize));
+  ASSERT_EQ(sim::kOk, w.kernel->MadvFree(p, a, sim::kPageSize));
+  ASSERT_EQ(sim::kOk, w.kernel->Munlock(p, a, sim::kPageSize));
+  w.vm->PageDaemon(w.pm.total_pages());
+  ASSERT_EQ(sim::kOk, w.kernel->ReadMem(p, a, b));
+  EXPECT_EQ(std::byte{0x5c}, b[0]);
+  w.vm->CheckInvariants();
+}
+
 INSTANTIATE_TEST_SUITE_P(BothVms, MadvFreeTest, ::testing::Values(VmKind::kBsd, VmKind::kUvm),
                          [](const ::testing::TestParamInfo<VmKind>& param_info) {
                            return harness::VmKindName(param_info.param);

@@ -4,8 +4,9 @@
 // of them mapped with a read-only max_prot that refuses mprotect rw, run
 // against a flat per-page reference model. After every operation each page
 // of the region is checked for accessibility (read and write), the pmap
-// wired bit and the frame's wire count; at the end a fork checks what the
-// child inherited.
+// wired bit, the frame's wire count and mincore's answer; at the end a fork
+// checks what the child inherited, and parent writes after the fork check
+// that mincore still sees pages left one layer down (BSD's backing object).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -50,6 +51,13 @@ class RangeOpsPropertyTest : public ::testing::TestWithParam<std::tuple<VmKind, 
       EXPECT_EQ(m.mapped ? sim::kOk : sim::kErrFault, w.kernel->ReadMem(p, va, b));
       int want_write = !m.mapped ? sim::kErrFault : m.writable ? sim::kOk : sim::kErrProt;
       EXPECT_EQ(want_write, w.kernel->TouchWrite(p, va, 1, std::byte{0x5a}));
+      // Both touches faulted a mapped page in.
+      std::vector<bool> resident;
+      EXPECT_EQ(m.mapped ? sim::kOk : sim::kErrFault,
+                w.kernel->Mincore(p, va, sim::kPageSize, &resident));
+      if (m.mapped) {
+        EXPECT_EQ(std::vector<bool>{true}, resident);
+      }
       auto pte = p->as->pmap().Extract(va);
       if (m.wired > 0) {
         ASSERT_TRUE(pte.has_value());
@@ -166,13 +174,37 @@ TEST_P(RangeOpsPropertyTest, RandomRangeOpsMatchThePerPageModel) {
     }
   }
 
-  // What the child inherits: every mapped page except those marked none.
+  // What the child inherits: every mapped page except those marked none,
+  // each still resident.
   kern::Proc* c = w.kernel->Fork(p);
   std::vector<std::byte> b(1);
+  std::vector<bool> resident;
   for (std::uint64_t i = 0; i < kPages; ++i) {
     bool inherited = model[i].mapped && !model[i].inherit_none;
     EXPECT_EQ(inherited ? sim::kOk : sim::kErrFault, w.kernel->ReadMem(c, PageVa(i), b))
         << "page " << i;
+    if (inherited) {
+      ASSERT_EQ(sim::kOk, w.kernel->Mincore(c, PageVa(i), sim::kPageSize, &resident));
+      EXPECT_EQ(std::vector<bool>{true}, resident) << "child page " << i;
+    }
+  }
+  // The parent writes every other writable page: the copy lands on top, and
+  // the pages between the writes stay one layer down (in BSD, the backing
+  // object below the new shadow). Mincore must see every one of them.
+  bool write = true;
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    if (model[i].mapped && model[i].writable) {
+      if (write) {
+        ASSERT_EQ(sim::kOk, w.kernel->TouchWrite(p, PageVa(i), 1, std::byte{0xa5}));
+      }
+      write = !write;
+    }
+  }
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    if (model[i].mapped) {
+      ASSERT_EQ(sim::kOk, w.kernel->Mincore(p, PageVa(i), sim::kPageSize, &resident));
+      EXPECT_EQ(std::vector<bool>{true}, resident) << "parent page " << i;
+    }
   }
   w.kernel->Exit(c);
   w.vm->CheckInvariants();

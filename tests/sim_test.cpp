@@ -95,17 +95,6 @@ TEST(RngTest, BoundsRespected) {
   }
 }
 
-TEST(StatsTest, ResetClearsEverything) {
-  sim::Stats s;
-  for (std::size_t i = 0; i < sim::kNumStats; ++i) {
-    s.*sim::kStatFields[i] = i + 1;
-  }
-  s.Reset();
-  for (std::size_t i = 0; i < sim::kNumStats; ++i) {
-    EXPECT_EQ(0u, s.*sim::kStatFields[i]) << sim::kStatNames[i];
-  }
-}
-
 TEST(ReportTest, StatsReportMentionsKeyCounters) {
   sim::Machine m;
   m.stats().faults = 5;

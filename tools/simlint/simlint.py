@@ -10,10 +10,11 @@ Rule families (see DESIGN.md §9, §10, §12–§17):
                    det-host-nondet      host time / host randomness sources
                                         outside src/sim/rng.h and
                                         bench/bench_host_perf.cpp
-  cost model       cost-no-charge       a src/core// src/bsdvm/ function
-                                        moves page-sized data (memcpy & co.)
-                                        without reaching a CostModel/Clock
-                                        charge, directly or transitively
+  cost model       cost-no-charge       a src/core/, src/bsdvm/ or src/vm/
+                                        function that moves page-sized data
+                                        (memcpy & co.) without reaching a
+                                        CostModel/Clock charge, directly or
+                                        transitively
   layering         layer-upward-include an #include that goes up the layer
                                         DAG sim -> {phys,mmu,vfs,swap} -> vm
                                         -> {core,bsdvm} -> kern -> harness ->
@@ -159,7 +160,7 @@ POISON_WRITE_EXEMPT = {os.path.join("src", "phys", "phys_mem.cc")}
 CHARGE_SEEDS = {"Charge", "Advance"}
 
 # Data-movement / I/O primitives: calling one obliges the caller (in
-# src/core, src/bsdvm) to reach a charge on the same path. The charged
+# src/core, src/bsdvm, src/vm) to reach a charge on the same path. The charged
 # wrappers (CopyPage, ReadPages, ...) appear here too — they charge
 # internally, so calls to them satisfy the rule by construction, and a
 # future un-charged reimplementation would be caught by the call graph.
@@ -174,7 +175,11 @@ PRIMITIVE_PATTERNS = [
         "page/disk/swap primitive",
     ),
 ]
-COST_RULE_DIRS = (os.path.join("src", "core"), os.path.join("src", "bsdvm"))
+COST_RULE_DIRS = (
+    os.path.join("src", "core"),
+    os.path.join("src", "bsdvm"),
+    os.path.join("src", "vm"),
+)
 
 HOST_NONDET_PATTERNS = [
     (re.compile(r"(?<![\w.>])s?rand\s*\("), "host rand()/srand()"),

@@ -60,6 +60,7 @@ class SimlintFixtureTest(unittest.TestCase):
             self.expect("det-host-nondet", "src/core/bad_nondet.cc", "HOSTRAND"),
             self.expect("cost-no-charge", "src/core/bad_cost.cc", "MEMCPY"),
             self.expect("cost-no-charge", "src/core/bad_cost.cc", "PRIMITIVE"),
+            self.expect("cost-no-charge", "src/vm/bad_cost.cc", "VM-MEMCPY"),
             self.expect("layer-upward-include", "src/phys/bad_layering.h", "UPWARD"),
             self.expect("layer-upward-include", "src/bsdvm/bad_sibling.h", "SIBLING"),
             self.expect("pool-exhaustion-assert", "src/core/bad_pool_assert.cc", "POOL-ASSERT"),
@@ -95,6 +96,7 @@ class SimlintFixtureTest(unittest.TestCase):
             "src/core/clean_unordered.cc",
             "src/core/clean_ptr_set.h",
             "src/core/clean_cost.cc",
+            "src/vm/clean_cost.cc",
             "src/core/clean_pool_assert.cc",
             "src/core/clean_pool_alloc.cc",
             "src/core/clean_poison.cc",
